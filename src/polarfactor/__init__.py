@@ -54,9 +54,7 @@ from .eqclass import (
     canonicalize_exponents,
     enumerate_classes,
     polar_quotient,
-    polar_quotient_variant,
     scaled_polar_quotient,
-    semigroup_and_conductor,
     validate,
 )
 from .intersect import (
@@ -117,9 +115,7 @@ __all__ = [
     "canonicalize_exponents",
     "enumerate_classes",
     "polar_quotient",
-    "polar_quotient_variant",
     "scaled_polar_quotient",
-    "semigroup_and_conductor",
     "validate",
     "IntersectionReport",
     "SweepReport",

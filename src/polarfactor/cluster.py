@@ -95,7 +95,16 @@ class Cluster:
         return any(i == end - 1 for _, end in self.block_spans)
 
 
-def _build_support(E: EqClass) -> tuple[tuple[InfNearPoint, ...], tuple[int, ...], tuple[tuple[int, int], ...]]:
+@lru_cache(maxsize=512)
+def singularity_cluster(E: EqClass) -> Cluster:
+    """The cluster of singular points of a branch in class E.
+
+    Valuations are the effective multiplicities of the curve, so the
+    proximity equality v(P) = sum of proximate successors holds at
+    every point except the very last one (where the curve leaves the
+    cluster through multiplicity-1 free points that are not singular
+    and hence not materialized).
+    """
     points: list[InfNearPoint] = []
     values: list[int] = []
     spans: list[tuple[int, int]] = []
@@ -126,24 +135,9 @@ def _build_support(E: EqClass) -> tuple[tuple[InfNearPoint, ...], tuple[int, ...
                 anchors[a] = len(points) - 1
         spans.append((start, len(points)))
         prev_terminal = len(points) - 1
-    return tuple(points), tuple(values), tuple(spans)
+    return Cluster(E, tuple(points), tuple(values), tuple(spans))
 
 
-@lru_cache(maxsize=512)
-def singularity_cluster(E: EqClass) -> Cluster:
-    """The cluster of singular points of a branch in class E.
-
-    Valuations are the effective multiplicities of the curve, so the
-    proximity equality v(P) = sum of proximate successors holds at
-    every point except the very last one (where the curve leaves the
-    cluster through multiplicity-1 free points that are not singular
-    and hence not materialized).
-    """
-    points, values, spans = _build_support(E)
-    return Cluster(E, points, values, spans)
-
-
-@lru_cache(maxsize=512)
 def polar_cluster(E: EqClass) -> Cluster:
     """Valuations of the general polar on the support of the curve.
 

@@ -45,7 +45,8 @@ class PolarBranch:
 
     (package, depth, copy) identify it: package k, convergent index
     2*depth - 1, copy counts the h_{2*depth} equisingular branches that
-    share a convergent.  ``starts_at_terminal`` tags the block shape:
+    share a convergent; ``position`` is its 0-based index in the package.
+    ``starts_at_terminal`` tags the block shape:
     True when m_k - m_{k-1} < e_{k-1}, in which case the branch's chain
     through block k begins at the previous block's terminal point.
     ``exponents`` is the raw invariant tuple (multiplicity first);
@@ -55,6 +56,7 @@ class PolarBranch:
     package: int
     depth: int
     copy: int
+    position: int
     p: int
     q: int
     starts_at_terminal: bool
@@ -84,12 +86,14 @@ class PolarBranch:
 
 @dataclass(frozen=True, slots=True)
 class PolarPackage:
-    """All branches sharing one polar quotient."""
+    """All branches sharing one polar quotient, with the even-normalized
+    block expansion (``ladder``) that they are read off and their traces walk."""
 
     index: int
     branches: tuple[PolarBranch, ...]
     multiplicity: int
     quotient: Fraction
+    ladder: tuple[int, ...]
 
 
 @dataclass(frozen=True, slots=True)
@@ -141,9 +145,9 @@ def decompose(E: EqClass) -> PolarDecomposition:
             else:
                 canonical = canonicalize_exponents(exps[0], exps[1:])
             for j in range(1, hn[2 * i] + 1):
-                branches.append(
-                    PolarBranch(k, i, j, p, q, gap_below, exps, canonical)
-                )
+                branches.append(PolarBranch(
+                    k, i, j, len(branches), p, q, gap_below, exps, canonical
+                ))
         mult = sum(b.multiplicity for b in branches)
         expected = scale * (E.descents[k - 1] - 1)
         if mult != expected:
@@ -151,7 +155,8 @@ def decompose(E: EqClass) -> PolarDecomposition:
                 f"package {k} of {E}: constructed multiplicity {mult} != "
                 f"descent-chain value {expected}"
             )
-        packages.append(PolarPackage(k, tuple(branches), mult, polar_quotient(E, k)))
+        quotient = polar_quotient(E, k)
+        packages.append(PolarPackage(k, tuple(branches), mult, quotient, hn))
     total = sum(pkg.multiplicity for pkg in packages)
     if total != n - 1:
         raise TheoremViolation(f"polar of {E} has multiplicity {total} != n - 1")
@@ -163,12 +168,15 @@ def require_member(E: EqClass, b: PolarBranch) -> PolarDecomposition:
 
     Intersection formulas silently produce garbage for a branch of some
     other class, so every entry point that takes (class, branch) pairs
-    funnels through here.  Returns the decomposition for reuse.
+    funnels through here.  The branch's package and position name the
+    one slot it can occupy.  Returns the decomposition for reuse.
     """
     D = decompose(E)
-    if not 1 <= b.package <= len(D.packages) or b not in D.packages[b.package - 1].branches:
-        raise ValueError(f"{b} was not produced by decompose({E})")
-    return D
+    if 1 <= b.package <= len(D.packages):
+        branches = D.packages[b.package - 1].branches
+        if 0 <= b.position < len(branches) and branches[b.position] == b:
+            return D
+    raise ValueError(f"{b} was not produced by decompose({E})")
 
 
 def branch_count(E: EqClass, j: int) -> int:
@@ -206,11 +214,10 @@ def branch_trace(E: EqClass, b: PolarBranch) -> tuple[int, ...]:
     terminal with the pair (p+q, p), and its first value must agree
     with the earlier-block rule at that point.
     """
-    require_member(E, b)
-    C = singularity_cluster(E)
     k = b.package
+    hn = require_member(E, b).packages[k - 1].ladder
+    C = singularity_cluster(E)
     e_prev = E.gcds[k - 1]
-    hn = normalize_even(block_expansion(E, k).quotients)
     start = C.block_spans[k - 1][0]
     trace = [0] * len(C.points)
     for idx in range(start):

@@ -25,9 +25,7 @@ __all__ = [
     "canonicalize_exponents",
     "enumerate_classes",
     "polar_quotient",
-    "polar_quotient_variant",
     "scaled_polar_quotient",
-    "semigroup_and_conductor",
     "validate",
 ]
 
@@ -184,32 +182,6 @@ def polar_quotient(E: EqClass, l: int) -> Fraction:
     return Fraction(scaled_polar_quotient(E, l), E.multiplicity)
 
 
-def polar_quotient_variant(E: EqClass, l: int) -> Fraction:
-    """Diagnostic alternative closed form for the l-th polar quotient.
-
-    Computes m_l + (1/n) * sum_{w<l} (e_{w-1} - e_w) * m_w.  This form
-    agrees with polar_quotient for l = 1 but diverges for l >= 2
-    (e.g. 20 vs 13 on K(8;12,14,15), package 2).  The Noether trace
-    oracle certifies polar_quotient, so this variant is never used in
-    computations; it is kept only so the discrepancy stays visible.
-    """
-    if not 1 <= l <= E.genus:
-        raise ValueError(f"package index {l} out of range 1..{E.genus}")
-    total = Fraction(0)
-    for w in range(1, l):
-        total += (E.gcds[w - 1] - E.gcds[w]) * E.exponents[w - 1]
-    return E.exponents[l - 1] + total / E.multiplicity
-
-
-def semigroup_and_conductor(E: EqClass) -> tuple[tuple[int, ...], int, int]:
-    """(semigroup generators, conductor, Milnor number) of the class.
-
-    The Milnor number equals the conductor for irreducible branches;
-    both are returned so call sites can name the one they mean.
-    """
-    return E.semigroup, E.conductor, E.milnor
-
-
 def canonicalize_exponents(n: int, exps: Sequence[int]) -> EqClass:
     """Reduce an exponent tuple to canonical characteristic form.
 
@@ -250,8 +222,9 @@ def enumerate_classes(
     gcd > 1), so plain ascending depth-first search is lexicographic.
     The optional genus cap prunes the search; note n <= max_n already
     caps the genus at log2(max_n) since each descent factor is >= 2.
+    A cap below 1 admits no class.
     """
-    if max_n < 2 or max_last_exponent < 2:
+    if max_n < 2 or max_last_exponent < 2 or (max_genus is not None and max_genus < 1):
         return
 
     def extend(n: int, chain: list[int], e: int) -> Iterator[EqClass]:

@@ -92,9 +92,8 @@ def oracle_pair_intersection(E: EqClass, b1: PolarBranch, b2: PolarBranch) -> in
     No shared-prefix bookkeeping is needed: the shallower branch's
     trace is zero beyond the points it passes through, so the pointwise
     product cuts the sum to the common part automatically.
+    branch_trace checks that both branches belong to E.
     """
-    require_member(E, b1)
-    require_member(E, b2)
     return noether_sum(branch_trace(E, b1), branch_trace(E, b2))
 
 
@@ -129,6 +128,10 @@ class IntersectionReport:
     total: int
 
 
+def _raise(check: str, message: str) -> None:
+    raise TheoremViolation(message)
+
+
 def intersection_report(E: EqClass) -> IntersectionReport:
     """Assemble the matrix, checking closed form == oracle on the way.
 
@@ -138,7 +141,21 @@ def intersection_report(E: EqClass) -> IntersectionReport:
     """
     branches = tuple(decompose(E).branches())
     traces = [branch_trace(E, b) for b in branches]
-    curve = singularity_cluster(E)
+    return _checked_report(E, branches, traces, _raise)
+
+
+def _checked_report(
+    E: EqClass,
+    branches: tuple[PolarBranch, ...],
+    traces: list[tuple[int, ...]],
+    fail: Callable[[str, str], None],
+) -> IntersectionReport:
+    """The one closed-form-vs-Noether kernel behind intersection_report
+    and the sweep.  Each mismatch goes to ``fail(check, message)`` under
+    the check name 'pair_oracle', 'branch_vs_curve' or 'grand_total';
+    the closed-form values are kept whether or not ``fail`` returns.
+    """
+    curve = singularity_cluster(E).values
     size = len(branches)
     rows = [[0] * size for _ in range(size)]
     for a in range(size):
@@ -146,25 +163,28 @@ def intersection_report(E: EqClass) -> IntersectionReport:
             closed = pair_intersection(E, branches[a], branches[c])
             oracle = noether_sum(traces[a], traces[c])
             if closed != oracle:
-                raise TheoremViolation(
+                fail(
+                    "pair_oracle",
                     f"pair ({branches[a]}, {branches[c]}) of {E}: "
-                    f"closed form {closed} != Noether oracle {oracle}"
+                    f"closed form {closed} != Noether oracle {oracle}",
                 )
             rows[a][c] = rows[c][a] = closed
     with_curve = []
     for b, tr in zip(branches, traces):
         closed = branch_vs_curve(E, b)
-        oracle = noether_sum(tr, curve.values)
+        oracle = noether_sum(tr, curve)
         if closed != oracle:
-            raise TheoremViolation(
-                f"{b} against {E}: closed form {closed} != oracle {oracle}"
+            fail(
+                "branch_vs_curve",
+                f"{b} against {E}: closed form {closed} != oracle {oracle}",
             )
         with_curve.append(closed)
     total = sum(with_curve)
     if total != E.milnor + E.multiplicity - 1:
-        raise TheoremViolation(
+        fail(
+            "grand_total",
             f"I(f, P(f)) = {total} for {E}, expected mu + n - 1 = "
-            f"{E.milnor + E.multiplicity - 1}"
+            f"{E.milnor + E.multiplicity - 1}",
         )
     return IntersectionReport(
         E, branches, tuple(map(tuple, rows)), tuple(with_curve), total
@@ -274,6 +294,7 @@ def _verify_one(E: EqClass, report: SweepReport) -> None:
 
     branches = tuple(D.branches())
     report.branches += len(branches)
+    report.pairs += len(branches) * (len(branches) - 1) // 2
     traces = [branch_trace(E, b) for b in branches]
 
     aggregate = [0] * size
@@ -285,29 +306,10 @@ def _verify_one(E: EqClass, report: SweepReport) -> None:
             "sharp_pass", f"{E}: trace sum {tuple(aggregate)} != {polar.values}"
         )
 
-    total = 0
-    for b, tr in zip(branches, traces):
+    checked = _checked_report(E, branches, traces, report.record)
+    for b, closed in zip(branches, checked.with_curve):
         expected_genus = b.package if b.p > 1 else b.package - 1
         if b.genus != expected_genus:
             report.record("genus_bounds", f"{E}: {b} has genus {b.genus}")
-        closed = branch_vs_curve(E, b)
-        if closed != noether_sum(tr, curve.values):
-            report.record("branch_vs_curve", f"{E}: {b}")
         if closed != b.multiplicity * D.packages[b.package - 1].quotient:
             report.record("quotient_ratio", f"{E}: {b}")
-        total += closed
-    if total != E.milnor + E.multiplicity - 1:
-        report.record("grand_total", f"{E}: {total} != mu + n - 1")
-
-    for a in range(len(branches)):
-        tra = traces[a]
-        for c in range(a + 1, len(branches)):
-            report.pairs += 1
-            closed = pair_intersection(E, branches[a], branches[c])
-            oracle = noether_sum(tra, traces[c])
-            if closed != oracle:
-                report.record(
-                    "pair_oracle",
-                    f"{E}: ({branches[a]}, {branches[c]}) "
-                    f"closed {closed} != oracle {oracle}",
-                )

@@ -49,7 +49,6 @@ def clean(sweep, *checks):
 
 def test_criterion_01_worked_example():
     singularity_cluster.cache_clear()
-    polar_cluster.cache_clear()
     decompose.cache_clear()
     branch_trace.cache_clear()
 

@@ -126,6 +126,11 @@ def test_verify_cluster_subcommand(capsys):
     code, out, _ = run(capsys, "verify", "cluster", "--max-n", "5", "--max-m", "25")
     assert code == 0
     assert out.startswith("all checks passed")
+    code, out, _ = run(
+        capsys, "verify", "cluster", "--max-n", "6", "--max-m", "20", "--genus", "0"
+    )
+    assert code == 0
+    assert out.startswith("all checks passed: 0 classes")
 
 
 def test_scan_tsv_and_json(capsys):

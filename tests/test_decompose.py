@@ -43,6 +43,7 @@ def test_equisingular_copies_share_everything_but_the_copy_index():
     assert a.canonical == b.canonical == validate(2, [3])
     assert (a.p, a.q) == (b.p, b.q) == (2, 3)
     assert (a.copy, b.copy) == (1, 2)
+    assert (a.position, b.position) == (0, 1)
 
 
 def test_all_smooth_package():
@@ -67,6 +68,7 @@ def test_two_depths_in_one_package():
     # odd indices give one K(2;5) and one K(5;12) branch
     D = decompose(validate(8, [19]))
     (pkg,) = D.packages
+    assert pkg.ladder == (2, 2, 1, 1, 1)
     assert [(b.depth, b.p, b.q) for b in pkg.branches] == [(1, 2, 5), (2, 5, 12)]
     assert [b.canonical for b in pkg.branches] == [
         validate(2, [5]),

@@ -11,9 +11,7 @@ from polarfactor.eqclass import (
     canonicalize_exponents,
     enumerate_classes,
     polar_quotient,
-    polar_quotient_variant,
     scaled_polar_quotient,
-    semigroup_and_conductor,
     validate,
 )
 
@@ -58,14 +56,14 @@ def test_validate_names_the_violated_invariant(n, ms, fragment):
 
 
 def test_semigroup_and_conductor_examples():
-    assert semigroup_and_conductor(validate(2, [3])) == ((2, 3), 2, 2)
-    assert semigroup_and_conductor(validate(5, [7])) == ((5, 7), 24, 24)
-    assert semigroup_and_conductor(validate(4, [6, 7])) == ((4, 6, 13), 16, 16)
-    assert semigroup_and_conductor(validate(10, [15, 22])) == (
-        (10, 15, 37),
-        154,
-        154,
-    )
+    for n, ms, semigroup, conductor in [
+        (2, [3], (2, 3), 2),
+        (5, [7], (5, 7), 24),
+        (4, [6, 7], (4, 6, 13), 16),
+        (10, [15, 22], (10, 15, 37), 154),
+    ]:
+        E = validate(n, ms)
+        assert (E.semigroup, E.conductor, E.milnor) == (semigroup, conductor, conductor)
 
 
 def test_genus_one_conductor_closed_form():
@@ -103,13 +101,6 @@ def test_polar_quotient_first_package_is_m1():
     for n, ms in [(2, [3]), (5, [7]), (10, [15, 22]), (8, [12, 14, 15])]:
         E = validate(n, ms)
         assert polar_quotient(E, 1) == ms[0]
-
-
-def test_variant_quotient_diverges_from_the_certified_one():
-    E = validate(8, [12, 14, 15])
-    assert polar_quotient_variant(E, 1) == polar_quotient(E, 1) == 12
-    assert polar_quotient_variant(E, 2) == 20  # certified value is 13
-    assert polar_quotient_variant(E, 3) == Fraction(49, 2)
 
 
 def test_canonicalize_drops_non_dropping_exponents():
@@ -160,6 +151,9 @@ def test_enumerate_is_lexicographic_and_valid():
 def test_enumerate_empty_bounds():
     assert list(enumerate_classes(1, 50)) == []
     assert list(enumerate_classes(8, 1)) == []
+    # a genus cap below 1 admits nothing, like the other empty bounds
+    assert list(enumerate_classes(6, 20, 0)) == []
+    assert list(enumerate_classes(6, 20, -1)) == []
 
 
 def test_theorem_violation_is_not_invalid_input():

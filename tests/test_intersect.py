@@ -4,8 +4,9 @@ import itertools
 
 import pytest
 
+from polarfactor import intersect
 from polarfactor.decompose import decompose
-from polarfactor.eqclass import enumerate_classes, validate
+from polarfactor.eqclass import TheoremViolation, enumerate_classes, validate
 from polarfactor.intersect import (
     branch_vs_curve,
     intersection_report,
@@ -125,3 +126,22 @@ def test_sweep_report_failure_bookkeeping():
     assert report.failures == {"demo": 2}
     assert report.examples["demo"] == ["first", "second"]
     assert "demo: 2 violation(s)" in report.summary()
+
+
+@pytest.mark.parametrize(
+    "closed_form, checks",
+    [
+        ("pair_intersection", {"pair_oracle"}),
+        ("branch_vs_curve", {"branch_vs_curve", "grand_total"}),
+    ],
+)
+def test_an_off_by_one_closed_form_is_caught(monkeypatch, closed_form, checks):
+    # Both entry points must notice a wrong closed form, under the check
+    # names the acceptance criteria look up.
+    right = getattr(intersect, closed_form)
+    monkeypatch.setattr(intersect, closed_form, lambda E, *bs: right(E, *bs) + 1)
+    report = verify_classes(4, 9)
+    assert checks <= set(report.failures)
+    assert "internal" not in report.failures
+    with pytest.raises(TheoremViolation):
+        intersection_report(validate(8, [12, 14, 15]))
