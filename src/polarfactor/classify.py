@@ -43,8 +43,7 @@ def genus_drop(E: EqClass) -> bool:
     m_r - m_{r-1} + 1 = lambda * e_{r-1}.  The class invariant
     e_{r-1} does not divide m_r - m_{r-1} keeps lambda >= 1 honest.
     """
-    gap = E.exponents[-1] - E.exponent(E.genus - 1) + 1
-    return gap % E.gcds[E.genus - 1] == 0
+    return genus_drop_lambda(E) is not None
 
 
 def genus_drop_lambda(E: EqClass) -> int | None:
@@ -89,9 +88,12 @@ def scan(
     """
     if predicate not in ("genus-drop", "smooth"):
         raise ValueError(f"unknown scan predicate {predicate!r}")
-    genus_cap = 1 if predicate == "smooth" else max_genus
+    genus_cap = max_genus
+    if predicate == "smooth":
+        genus_cap = 1 if max_genus is None else min(1, max_genus)
     for E in enumerate_classes(max_n, max_last_exponent, genus_cap):
-        formula = genus_drop(E)
+        lam = genus_drop_lambda(E)
+        formula = lam is not None
         constructive = max_branch_genus(E)
         if formula != (constructive <= E.genus - 1):
             raise TheoremViolation(
@@ -100,9 +102,7 @@ def scan(
             )
         if predicate == "smooth" and formula != (constructive == 0):
             raise TheoremViolation(f"{E}: smooth verdict mismatch")
-        if formula:
-            lam = genus_drop_lambda(E)
-            assert lam is not None
+        if lam is not None:
             yield ScanHit(E, lam, constructive)
 
 

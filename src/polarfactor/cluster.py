@@ -87,13 +87,6 @@ class Cluster:
     def __len__(self) -> int:
         return len(self.points)
 
-    def terminal(self, k: int) -> int:
-        """Index of the last point of block k."""
-        return self.block_spans[k - 1][1] - 1
-
-    def is_terminal(self, i: int) -> bool:
-        return any(i == end - 1 for _, end in self.block_spans)
-
 
 @lru_cache(maxsize=512)
 def singularity_cluster(E: EqClass) -> Cluster:

@@ -7,9 +7,9 @@ number against an actual curve with none of that machinery involved:
   1. sample an explicit polynomial parametrization (t^n, y(t)) of a
      member of the class, coefficients small integers;
   2. implicitize to the integer polynomial F with F(t^n, y(t)) = 0,
-     via characteristic polynomials of the multiplication-by-y(t)
-     matrix over Z[x][t]/(t^n - x), evaluated at integer points and
-     interpolated back (exact rational arithmetic throughout);
+     the characteristic polynomial of multiplication by y(t) over
+     Z[x][t]/(t^n - x), from the power sums tr(y(t)^i) by Newton's
+     identities (exact integer arithmetic throughout);
   3. form the polar a*F_x + b*F_y at a random direction and measure
      its vanishing order along the parametrization.
 
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .decompose import decompose
 from .eqclass import EqClass, TheoremViolation
@@ -52,7 +51,8 @@ MAX_CONDUCTOR = 120
 
 
 class TruncSeries:
-    """Series in t with exact integer coefficients and explicit truncation.
+    """Series in t (or, inside implicitize, polynomial in x) with exact
+    integer coefficients and explicit truncation.
 
     ``trunc`` is the first unknown order: terms at exponents >= trunc
     have been dropped and must not be trusted.  None means the series
@@ -210,74 +210,17 @@ def sample_parametrization(E: EqClass, seed: int | None = None) -> TruncSeries:
     return TruncSeries(coeffs)
 
 
-def _mat_mul(A: list[list[int]], B: list[list[int]]) -> list[list[int]]:
-    n = len(A)
-    return [
-        [sum(A[r][k] * B[k][c] for k in range(n)) for c in range(n)]
-        for r in range(n)
-    ]
-
-
-def _charpoly(A: list[list[int]]) -> list[int]:
-    """Coefficients of det(y*I - A) as [1, c_1, ..., c_n] (c_k multiplies
-    y^{n-k}), by Newton's trace identities; all divisions exact."""
-    n = len(A)
-    traces = []
-    power = A
-    for i in range(n):
-        if i:
-            power = _mat_mul(power, A)
-        traces.append(sum(power[r][r] for r in range(n)))
-    elem = [1]
-    for k in range(1, n + 1):
-        acc = 0
-        for i in range(1, k + 1):
-            acc += (-1) ** (i - 1) * elem[k - i] * traces[i - 1]
-        q, r = divmod(acc, k)
-        if r:
-            raise TheoremViolation("Newton identity division not exact")
-        elem.append(q)
-    return [(-1) ** k * elem[k] for k in range(n + 1)]
-
-
-def _interpolate_int(xs: list[int], ys: list[int]) -> list[int]:
-    """Integer coefficients (ascending) of the unique polynomial of
-    degree < len(xs) through the points; raises if it is not integral."""
-    divided = [Fraction(y) for y in ys]
-    for level in range(1, len(xs)):
-        for idx in range(len(xs) - 1, level - 1, -1):
-            divided[idx] = (divided[idx] - divided[idx - 1]) / (
-                xs[idx] - xs[idx - level]
-            )
-    poly = [Fraction(0)] * len(xs)
-    basis = [Fraction(1)]
-    for k, dk in enumerate(divided):
-        for d, bc in enumerate(basis):
-            poly[d] += dk * bc
-        nxt = [Fraction(0)] * (len(basis) + 1)
-        for d, bc in enumerate(basis):
-            nxt[d] -= bc * xs[k]
-            nxt[d + 1] += bc
-        basis = nxt
-    out = []
-    for c in poly:
-        if c.denominator != 1:
-            raise TheoremViolation("interpolated coefficient is not an integer")
-        out.append(int(c))
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
 def implicitize(n: int, phi: TruncSeries) -> IntPoly2:
     """The integer polynomial F, monic of degree n in y, vanishing on
     the parametrized curve (t^n, phi(t)).
 
     F is the characteristic polynomial of multiplication by phi on the
-    rank-n module with basis 1, t, ..., t^{n-1} over Z[x], t^n = x.  It
-    is computed at deg(phi) + 1 integer values of x with exact integer
-    characteristic polynomials and interpolated; the result is checked
-    to vanish identically on the parametrization and to have lowest
+    rank-n module with basis 1, t, ..., t^{n-1} over Z[x], t^n = x.
+    Multiplication by t^d there has trace n*x^{d/n} when n | d and 0
+    otherwise, so the power sums tr(phi^i) are read off the exponents of
+    phi^i divisible by n, and Newton's identities over Z[x] (every
+    division exact) give the coefficients.  The result is checked to
+    vanish identically on the parametrization and to have lowest
     homogeneous degree n (the multiplicity of the sampled branch).
     """
     if phi.trunc is not None:
@@ -286,35 +229,28 @@ def implicitize(n: int, phi: TruncSeries) -> IntPoly2:
         raise ValueError("parametrization must have positive order")
     if n < 2:
         raise ValueError(f"multiplicity must be at least 2, got {n}")
-    deg_phi = phi.degree
-    deg_x = deg_phi  # each charpoly coefficient has x-degree <= deg(phi)
-    xs: list[int] = [0]
-    step = 1
-    while len(xs) < deg_x + 1:
-        xs.append(step)
-        if len(xs) < deg_x + 1:
-            xs.append(-step)
-        step += 1
-
-    max_power = (deg_phi + n - 1) // n
-    columns: list[list[int]] = []
-    for x0 in xs:
-        powers = [1]
-        for _ in range(max_power):
-            powers.append(powers[-1] * x0)
-        M = [[0] * n for _ in range(n)]
-        for c in range(n):
-            for d, a in phi.coeffs.items():
-                tot = d + c
-                M[tot % n][c] += a * powers[tot // n]
-        columns.append(_charpoly(M))
-
-    terms: dict[tuple[int, int], int] = {(0, n): 1}
+    # power_sums[i] = tr(phi^i) and coeffs[k] multiplies y^{n-k}, both in x
+    power_sums = [TruncSeries({0: n})]
+    power = TruncSeries({0: 1})
+    for _ in range(n):
+        power = power * phi
+        power_sums.append(TruncSeries(
+            {d // n: n * c for d, c in power.coeffs.items() if d % n == 0}
+        ))
+    coeffs = [TruncSeries({0: 1})]
     for k in range(1, n + 1):
-        for i, c in enumerate(_interpolate_int(xs, [col[k] for col in columns])):
-            if c:
-                terms[(i, n - k)] = c
-    F = IntPoly2.from_dict(terms)
+        acc = TruncSeries({})
+        for i in range(1, k + 1):
+            acc = acc + coeffs[k - i] * power_sums[i]
+        quotient: dict[int, int] = {}
+        for e, c in acc.coeffs.items():
+            quotient[e], r = divmod(-c, k)
+            if r:
+                raise TheoremViolation("Newton identity division not exact")
+        coeffs.append(TruncSeries(quotient))
+    F = IntPoly2.from_dict(
+        {(i, n - k): c for k, ck in enumerate(coeffs) for i, c in ck.coeffs.items()}
+    )
 
     residue = evaluate_on_parametrization(F, n, phi)
     if residue.coeffs:

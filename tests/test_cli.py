@@ -146,6 +146,10 @@ def test_scan_tsv_and_json(capsys):
         "4:7\t2\t0",
     ]
     code, out, _ = run(
+        capsys, "scan", "smooth", "--max-n", "4", "--max-m", "9", "--genus", "0"
+    )
+    assert code == 0 and out == ""
+    code, out, _ = run(
         capsys, "scan", "genus-drop", "--max-n", "8", "--max-m", "20", "--json"
     )
     assert code == 0

@@ -65,10 +65,6 @@ def test_chain_structure_and_kinds():
 def test_block_spans_and_terminals():
     C = singularity_cluster(validate(8, [12, 14, 15]))
     assert C.block_spans == ((0, 3), (3, 5), (5, 7))
-    assert C.terminal(1) == 2
-    assert C.terminal(3) == 6
-    assert C.is_terminal(2) and C.is_terminal(4) and C.is_terminal(6)
-    assert not C.is_terminal(0) and not C.is_terminal(3)
     assert len(C) == 7
     # every point's parent is its chain predecessor, including across blocks
     assert [p.parent for p in C.points] == [None, 0, 1, 2, 3, 4, 5]

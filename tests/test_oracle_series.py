@@ -64,10 +64,15 @@ def test_polar_rejects_zero_direction():
 
 
 def test_implicitize_cusp():
-    F = implicitize(2, TruncSeries({3: 1}))
-    assert F.as_dict() == {(0, 2): 1, (3, 0): -1}
-    F = implicitize(3, TruncSeries({4: 1}))
-    assert F.as_dict() == {(0, 3): 1, (4, 0): -1}
+    for n, phi, expected in [
+        (2, {3: 1}, "y^2 - x^3"),
+        (3, {4: 1}, "y^3 - x^4"),
+        (2, {3: 1, 4: 1}, "y^2 - 2*x^2*y - x^3 + x^4"),
+        # the classical (y^2 - x^3)^2 - 4x^5y - x^7
+        (4, {6: 1, 7: 1}, "y^4 - 2*x^3*y^2 - 4*x^5*y + x^6 - x^7"),
+        (3, {4: 1, 5: 2}, "y^3 - 6*x^3*y - x^4 - 8*x^5"),
+    ]:
+        assert str(implicitize(n, TruncSeries(phi))) == expected
 
 
 def test_implicitize_perturbed_cusp_vanishes_on_the_curve():
