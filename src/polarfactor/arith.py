@@ -39,11 +39,6 @@ class EuclidExpansion:
     remainders: tuple[int, ...]
     terminal: int
 
-    @property
-    def steps(self) -> int:
-        """Index of the last quotient row (the ladder has steps+1 rows)."""
-        return len(self.quotients) - 1
-
     def row_values(self) -> tuple[int, ...]:
         """Divisor used at each quotient row: den first, then the remainders."""
         return (self.den, *self.remainders)
@@ -107,10 +102,6 @@ class Convergent(NamedTuple):
 
     p: int
     q: int
-
-    @property
-    def value(self) -> Fraction:
-        return Fraction(self.q, self.p)
 
 
 def convergent(quotients: Sequence[int], index: int) -> Convergent:

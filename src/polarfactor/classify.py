@@ -9,7 +9,8 @@ supposed to summarize, so scans can run both and compare:
                 lambda >= 1.
   smooth polar  (genus-1 classes) every polar branch is smooth; happens
                 exactly when m = lambda*n - 1, the genus-drop condition
-                read at r = 1.
+                read at r = 1, so its scan is the genus-drop scan
+                capped at genus 1.
 """
 
 from __future__ import annotations
@@ -71,27 +72,18 @@ class ScanHit:
 
 
 def scan(
-    max_n: int,
-    max_last_exponent: int,
-    max_genus: int | None = None,
-    predicate: str = "genus-drop",
+    max_n: int, max_last_exponent: int, max_genus: int | None = None
 ) -> Iterator[ScanHit]:
-    """Scan all classes in bounds and yield the predicate's hits.
+    """Scan all classes in bounds and yield the genus-drop hits.
 
-    predicate 'genus-drop' flags classes whose polar branches all stay
-    below the class genus; 'smooth' restricts to genus-1 classes and
-    flags all-smooth polars (the same condition at r = 1).  For every
-    scanned class — hit or not — the closed-form verdict is compared
-    with the constructive one (max branch genus over the actual
+    A hit is a class whose polar branches all stay below the class
+    genus; at max_genus 1 the hits are exactly the all-smooth polars.
+    For every scanned class — hit or not — the closed-form verdict is
+    compared with the constructive one (max branch genus over the actual
     decomposition); a mismatch raises TheoremViolation, so a completed
     scan is itself a proof of the characterization over the bounds.
     """
-    if predicate not in ("genus-drop", "smooth"):
-        raise ValueError(f"unknown scan predicate {predicate!r}")
-    genus_cap = max_genus
-    if predicate == "smooth":
-        genus_cap = 1 if max_genus is None else min(1, max_genus)
-    for E in enumerate_classes(max_n, max_last_exponent, genus_cap):
+    for E in enumerate_classes(max_n, max_last_exponent, max_genus):
         lam = genus_drop_lambda(E)
         formula = lam is not None
         constructive = max_branch_genus(E)
@@ -100,8 +92,6 @@ def scan(
                 f"{E}: closed-form verdict {formula} but max branch genus "
                 f"is {constructive} (genus {E.genus})"
             )
-        if predicate == "smooth" and formula != (constructive == 0):
-            raise TheoremViolation(f"{E}: smooth verdict mismatch")
         if lam is not None:
             yield ScanHit(E, lam, constructive)
 
@@ -110,5 +100,5 @@ def smooth_scan_pairs(max_n: int, max_m: int) -> list[tuple[int, int]]:
     """Convenience wrapper: the (n, m) pairs with an all-smooth polar."""
     return [
         (hit.eqclass.multiplicity, hit.eqclass.exponents[0])
-        for hit in scan(max_n, max_m, predicate="smooth")
+        for hit in scan(max_n, max_m, 1)
     ]

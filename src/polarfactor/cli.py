@@ -179,7 +179,10 @@ def _cmd_verify_series(args: argparse.Namespace) -> int:
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
-    hits = list(scan(args.max_n, args.max_m, args.genus, args.predicate))
+    genus = args.genus
+    if args.predicate == "smooth":
+        genus = 1 if genus is None else min(1, genus)
+    hits = list(scan(args.max_n, args.max_m, genus))
     if args.json:
         payload = {
             "predicate": args.predicate,

@@ -5,8 +5,10 @@ characteristic exponent.  Package k is read off the even-normalized
 expansion of (m_k - m_{k-1})/e_{k-1}: every even index 2i contributes
 h_{2i} equisingular branches whose invariants come from the convergent
 at index 2i-1.  Branches are represented by that convergent, a raw
-exponent tuple, and the canonical class of the tuple; their
-multiplicity traces on the curve's cluster feed the Noether oracle.
+exponent tuple, and the canonical class of the tuple.  Their
+multiplicity traces are read off the same Euclid rows that shape the
+curve's cluster, so this module never builds a cluster; the two meet
+in the Noether oracle of intersect.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from functools import lru_cache
 from typing import Iterator, NamedTuple
 
 from .arith import convergent, forced_remainders, normalize_even
-from .cluster import singularity_cluster
 from .eqclass import (
     EqClass,
     TheoremViolation,
@@ -204,41 +205,36 @@ def package_summary(E: EqClass) -> tuple[PackageSummary, ...]:
 
 @lru_cache(maxsize=4096)
 def branch_trace(E: EqClass, b: PolarBranch) -> tuple[int, ...]:
-    """Multiplicities of one polar branch along the curve's cluster.
+    """Multiplicities of one polar branch along the curve's cluster,
+    read off the Euclid rows and ending at the branch's last point.
 
-    Through the blocks before b's package the branch follows the curve
-    scaled by p/e_{k-1} (always an exact division).  Through block k it
-    walks the remainder recurrence of its convergent down the staircase
-    rows 0..2i-1, then leaves the cluster: all later points get 0.  In
-    the gap-below-e case the walk is anchored at the previous block's
-    terminal with the pair (p+q, p), and its first value must agree
-    with the earlier-block rule at that point.
+    Through blocks 1..k-1 of b's package k the branch follows the curve
+    scaled by p/e_{k-1}: row a of block j repeats its divisor h_a times,
+    and each row's division is checked exact.  Through block k it walks
+    the remainder recurrence of (q, p) down the rows 0..2i-1 of its
+    ladder; points beyond carry 0, which noether_sum implies.  In the
+    gap-below-e case row 0 is empty and the walk's first value p must
+    equal the trace at the previous block's terminal.
     """
     k = b.package
-    hn = require_member(E, b).packages[k - 1].ladder
-    C = singularity_cluster(E)
+    hn = require_member(E, b).packages[k - 1].ladder[: 2 * b.depth]
     e_prev = E.gcds[k - 1]
-    start = C.block_spans[k - 1][0]
-    trace = [0] * len(C.points)
-    for idx in range(start):
-        scaled = C.values[idx] * b.p
-        if scaled % e_prev:
-            raise TheoremViolation(
-                f"non-integral scaled multiplicity at point {idx} of {E}"
-            )
-        trace[idx] = scaled // e_prev
-    if b.starts_at_terminal:
-        walk = forced_remainders((1, *hn[1 : 2 * b.depth]), b.p + b.q, b.p)
-        if trace[start - 1] != walk[0]:
-            raise TheoremViolation(
-                f"{b} of {E}: chain anchor value {walk[0]} != "
-                f"terminal trace {trace[start - 1]}"
-            )
-    else:
-        walk = forced_remainders(hn[: 2 * b.depth], b.q, b.p)
-    pos = start
-    for a in range(2 * b.depth):
-        for _ in range(hn[a]):
-            trace[pos] = walk[a]
-            pos += 1
+    trace: list[int] = []
+    for j in range(1, k):
+        exp = block_expansion(E, j)
+        for h, v in zip(exp.quotients, exp.row_values()):
+            scaled, rem = divmod(v * b.p, e_prev)
+            if rem:
+                raise TheoremViolation(
+                    f"non-integral scaled multiplicity in block {j} of {E}"
+                )
+            trace += [scaled] * h
+    walk = forced_remainders(hn, b.q, b.p)
+    if b.starts_at_terminal and trace[-1] != walk[0]:
+        raise TheoremViolation(
+            f"{b} of {E}: chain anchor value {walk[0]} != "
+            f"terminal trace {trace[-1]}"
+        )
+    for h, w in zip(hn, walk):
+        trace += [w] * h
     return tuple(trace)

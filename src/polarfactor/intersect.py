@@ -55,22 +55,20 @@ def _exact_div(num: int, den: int, what: str) -> int:
 def pair_intersection(E: EqClass, b1: PolarBranch, b2: PolarBranch) -> int:
     """Closed-form intersection multiplicity of two distinct branches.
 
-    Same package k >= 2, depths i <= u:
+    Same package k, depths i <= u:
         p_i*p_u*Q_{k-1}/e_{k-1}^2 + q_u*p_i
     where Q_l = scaled_polar_quotient(E, l); the first factor is the
-    shared staircase prefix, the second the divergence row.  Package 1
-    is the exact minimum formula min(p_i*q_u, p_u*q_i); since the odd
-    convergent ratios decrease, it agrees with the general form (whose
-    Q_0 term vanishes).  Across packages l < k the branches separate
-    where the shallower one leaves its block: p_l*p_k*Q_l/(e_{l-1}*e_{k-1}).
+    shared staircase prefix, the second the divergence row.  In package
+    1, Q_0 = 0 leaves p_i*q_u, which the decreasing odd convergent
+    ratios make the minimum min(p_i*q_u, p_u*q_i).  Across packages
+    l < k the branches separate where the shallower one leaves its
+    block: p_l*p_k*Q_l/(e_{l-1}*e_{k-1}).
     """
     require_member(E, b1)
     require_member(E, b2)
     if b1.package == b2.package:
         k = b1.package
         lo, hi = (b1, b2) if b1.depth <= b2.depth else (b2, b1)
-        if k == 1:
-            return min(lo.p * hi.q, hi.p * lo.q)
         e_prev = E.gcds[k - 1]
         shared = _exact_div(
             lo.p * hi.p * scaled_polar_quotient(E, k - 1),
@@ -89,9 +87,9 @@ def pair_intersection(E: EqClass, b1: PolarBranch, b2: PolarBranch) -> int:
 def oracle_pair_intersection(E: EqClass, b1: PolarBranch, b2: PolarBranch) -> int:
     """The same number by Noether's formula on the branch traces.
 
-    No shared-prefix bookkeeping is needed: the shallower branch's
-    trace is zero beyond the points it passes through, so the pointwise
-    product cuts the sum to the common part automatically.
+    No shared-prefix bookkeeping is needed: each trace ends at the
+    branch's last point and noether_sum reads the points beyond as 0,
+    so the pointwise product cuts the sum to the common part.
     branch_trace checks that both branches belong to E.
     """
     return noether_sum(branch_trace(E, b1), branch_trace(E, b2))

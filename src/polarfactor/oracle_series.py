@@ -98,12 +98,6 @@ class TruncSeries:
         none below the truncation (identically zero if exact)."""
         return min(self.coeffs) if self.coeffs else None
 
-    @property
-    def degree(self) -> int:
-        if not self.coeffs:
-            raise ValueError("zero series has no degree")
-        return max(self.coeffs)
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, TruncSeries)

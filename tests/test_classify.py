@@ -73,12 +73,7 @@ def test_scan_yields_witnesses_and_cross_checks():
 
 
 def test_scan_smooth_predicate_restricts_to_genus_one():
-    hits = list(scan(4, 9, predicate="smooth"))
+    hits = list(scan(4, 9, 1))
     assert all(h.eqclass.genus == 1 for h in hits)
     assert all(h.max_genus_of_branches == 0 for h in hits)
-    assert list(scan(4, 9, max_genus=0, predicate="smooth")) == []
-
-
-def test_scan_rejects_unknown_predicate():
-    with pytest.raises(ValueError):
-        list(scan(4, 9, predicate="tangent"))
+    assert list(scan(4, 9, 0)) == []

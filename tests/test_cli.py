@@ -149,6 +149,9 @@ def test_scan_tsv_and_json(capsys):
         capsys, "scan", "smooth", "--max-n", "4", "--max-m", "9", "--genus", "0"
     )
     assert code == 0 and out == ""
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "scan", "tangent", "--max-n", "4", "--max-m", "9")
+    assert exc.value.code == 2 and "invalid choice" in capsys.readouterr().err
     code, out, _ = run(
         capsys, "scan", "genus-drop", "--max-n", "8", "--max-m", "20", "--json"
     )

@@ -1,5 +1,6 @@
 """Polar factorization: packages, branch invariants, and traces."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,7 @@ from polarfactor.decompose import (
     package_summary,
     require_member,
 )
-from polarfactor.eqclass import validate
+from polarfactor.eqclass import TheoremViolation, validate
 
 
 def test_three_package_worked_example():
@@ -114,22 +115,41 @@ def test_require_member_rejects_foreign_branches():
 def test_branch_traces_worked_example():
     E = validate(8, [12, 14, 15])
     b1, b2, b3 = decompose(E).branches()
-    assert branch_trace(E, b1) == (1, 1, 0, 0, 0, 0, 0)
-    assert branch_trace(E, b2) == (2, 1, 1, 1, 0, 0, 0)
-    assert branch_trace(E, b3) == (4, 2, 2, 1, 1, 1, 0)
+    assert branch_trace(E, b1) == (1, 1)
+    assert branch_trace(E, b2) == (2, 1, 1, 1)
+    assert branch_trace(E, b3) == (4, 2, 2, 1, 1, 1)
 
 
 def test_branch_traces_more_examples():
     E = validate(5, [7])
     for b in decompose(E).branches():
-        assert branch_trace(E, b) == (2, 1, 1, 0, 0)
+        assert branch_trace(E, b) == (2, 1, 1)
     E = validate(2, [3])
     (b,) = decompose(E).branches()
-    assert branch_trace(E, b) == (1, 1, 0)
+    assert branch_trace(E, b) == (1, 1)
     E = validate(8, [19])
     shallow, deep = decompose(E).branches()
-    assert branch_trace(E, shallow) == (2, 2, 1, 1, 0, 0, 0)
-    assert branch_trace(E, deep) == (5, 5, 2, 2, 1, 1, 0)
+    assert branch_trace(E, shallow) == (2, 2, 1, 1)
+    assert branch_trace(E, deep) == (5, 5, 2, 2, 1, 1)
+
+
+def test_gap_below_walk_must_start_at_the_terminal_trace(monkeypatch):
+    # The package attribute `decompose` is the function, so reach the
+    # module itself; a walk whose first value is off by one must trip
+    # the anchor check of a gap-below branch.
+    module = sys.modules["polarfactor.decompose"]
+    right = module.forced_remainders
+    branch_trace.cache_clear()
+    monkeypatch.setattr(
+        module,
+        "forced_remainders",
+        lambda hs, q, p: (right(hs, q, p)[0] + 1, *right(hs, q, p)[1:]),
+    )
+    E = validate(8, [12, 14, 15])
+    _, b2, _ = decompose(E).branches()
+    assert b2.starts_at_terminal
+    with pytest.raises(TheoremViolation, match="anchor"):
+        branch_trace(E, b2)
 
 
 def test_trace_first_entry_is_branch_multiplicity():

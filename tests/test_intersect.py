@@ -108,13 +108,18 @@ def test_intersection_report_shape_and_totals():
 
 
 def test_verify_classes_small_bound_all_pass():
-    report = verify_classes(8, 40)
-    assert report.ok
-    assert report.failures == {}
-    assert (report.classes, report.branches, report.pairs, report.points) == (
-        569, 1410, 1306, 6514,
-    )
-    assert report.summary().startswith("all checks passed")
+    for box, counts in [
+        ((8, 40), (569, 1410, 1306, 6514)),
+        # reaches genus 5: 32:48,56,60,62,63 and 32:48,56,60,62,65
+        ((32, 66), (12623, 47686, 86207, 195479)),
+    ]:
+        report = verify_classes(*box)
+        assert report.ok
+        assert report.failures == {}
+        assert (
+            report.classes, report.branches, report.pairs, report.points
+        ) == counts
+        assert report.summary().startswith("all checks passed")
 
 
 def test_sweep_report_failure_bookkeeping():

@@ -34,9 +34,6 @@ def test_series_order_degree_and_cleanup():
     assert TruncSeries({7: 3}, trunc=6).coeffs == {}
     assert TruncSeries({7: 3}, trunc=6).order() is None
     assert TruncSeries({2: 1, 9: 4}).order() == 2
-    assert TruncSeries({2: 1, 9: 4}).degree == 9
-    with pytest.raises(ValueError):
-        TruncSeries({}).degree
     assert "O(t^6)" in repr(TruncSeries({2: 1}, trunc=6))
 
 
