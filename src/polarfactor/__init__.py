@@ -29,7 +29,6 @@ from .classify import (
 )
 from .cluster import (
     Cluster,
-    InfNearPoint,
     ProximityReport,
     check_proximity,
     noether_sum,
@@ -94,7 +93,6 @@ __all__ = [
     "smooth_polar",
     "smooth_scan_pairs",
     "Cluster",
-    "InfNearPoint",
     "ProximityReport",
     "check_proximity",
     "noether_sum",

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from typing import Sequence
 
 from .classify import scan
@@ -204,7 +205,10 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every later
+    ``main`` call in the process (parsing does not change it)."""
     parser = argparse.ArgumentParser(
         prog="polarfactor",
         description=(

@@ -7,24 +7,25 @@ a of the staircase carries h_a points whose effective multiplicity is
 the row's divisor.  The general polar curve passes through the same
 support with valuations obtained from the curve's by a parity rule.
 
-Points are kept in tree order, which here is a total chain: every
-point lies in the first neighbourhood of its predecessor.  A point is
-free when it is proximate only to its parent and satellite when one
-more ancestor sees it (it lies on that ancestor's exceptional
-divisor); the second proximity target is what the staircase encodes.
+A cluster is kept as per-point tuples in chain order: point i lies in
+the first neighbourhood of point i - 1, so the index and the parent
+are tuple positions.  A point is free when it is proximate only to its
+parent and satellite when one more ancestor sees it (it lies on that
+ancestor's exceptional divisor); that second proximity target is what
+the staircase encodes.  Only ``render`` names points by their
+block.row.position labels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .eqclass import EqClass, block_expansion
 
 __all__ = [
     "Cluster",
-    "InfNearPoint",
     "ProximityReport",
     "check_proximity",
     "noether_sum",
@@ -34,58 +35,28 @@ __all__ = [
 ]
 
 
-class InfNearPoint(NamedTuple):
-    """One infinitely near point: chain position plus proximity data.
-
-    ``parent`` is the point in whose first neighbourhood this one lies
-    (always ``index - 1`` in chain order; None for the origin).
-    ``second_proximity`` is the extra proximity target of a satellite
-    point, None for free points.  (block, row, position) locate the
-    point in its block's staircase, all 1-based except row.
-    """
-
-    index: int
-    parent: int | None
-    second_proximity: int | None
-    block: int
-    row: int
-    position: int
-
-    @property
-    def kind(self) -> str:
-        return "free" if self.second_proximity is None else "satellite"
-
-    @property
-    def proximities(self) -> tuple[int, ...]:
-        if self.parent is None:
-            return ()
-        if self.second_proximity is None:
-            return (self.parent,)
-        return (self.parent, self.second_proximity)
-
-    @property
-    def label(self) -> str:
-        return f"{self.block}.{self.row}.{self.position}"
-
-
 @dataclass(frozen=True)
 class Cluster:
-    """A weighted cluster: points in chain order plus a valuation map.
+    """A weighted cluster as per-point tuples in chain order.
 
-    ``values[i]`` is the virtual multiplicity at ``points[i]``.
-    ``block_spans[k-1]`` is the half-open index range of block k; the
-    block's terminal point sits at the end of its span.  Two clusters
-    over the same class share the identical ``points`` tuple, so "same
+    ``values[i]`` is the virtual multiplicity at point i, ``rows[i]``
+    the point's row in its block's staircase and
+    ``second_proximities[i]`` the extra proximity target of a
+    satellite point, None for a free one.  ``block_spans[k-1]`` is the
+    half-open index range of block k; the block's terminal point sits
+    at the end of its span.  Two clusters over the same class share
+    the identical ``rows`` and ``second_proximities`` tuples, so "same
     support" is literal object identity.
     """
 
     eqclass: EqClass
-    points: tuple[InfNearPoint, ...]
     values: tuple[int, ...]
+    rows: tuple[int, ...]
+    second_proximities: tuple[int | None, ...]
     block_spans: tuple[tuple[int, int], ...]
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.values)
 
 
 @lru_cache(maxsize=512)
@@ -98,37 +69,27 @@ def singularity_cluster(E: EqClass) -> Cluster:
     cluster through multiplicity-1 free points that are not singular
     and hence not materialized).
     """
-    points: list[InfNearPoint] = []
     values: list[int] = []
+    rows: list[int] = []
+    seconds: list[int | None] = []
     spans: list[tuple[int, int]] = []
-    prev_terminal = -1
     for k in range(1, E.genus + 1):
         exp = block_expansion(E, k)
-        rows = exp.row_values()
-        start = len(points)
-        # anchors[a] = last point of row a; when the block opens with
-        # h_0 = 0 (exponent gap below e_{k-1}) the previous block's
-        # terminal stands in for the missing row 0.
-        anchors: dict[int, int] = {}
-        if exp.quotients[0] == 0:
-            anchors[0] = prev_terminal
-        for a, h in enumerate(exp.quotients):
-            for j in range(1, h + 1):
-                idx = len(points)
-                parent = idx - 1 if idx else None
-                if a == 0:
-                    second = None
-                elif j == 1:
-                    second = anchors[a - 2] if a >= 2 else None
-                else:
-                    second = anchors[a - 1]
-                points.append(InfNearPoint(idx, parent, second, k, a, j))
-                values.append(rows[a])
+        start = len(values)
+        # ends[a + 2] = last point of row a; an empty row 0 (exponent gap
+        # below e_{k-1}) ends at the previous block's terminal.  The first
+        # point of row a is also proximate to the end of row a - 2, the
+        # others to the end of row a - 1; row 0 and row 1's first point
+        # are free.
+        ends: list[int | None] = [None, None]
+        for a, (h, v) in enumerate(zip(exp.quotients, exp.row_values())):
+            values += [v] * h
+            rows += [a] * h
             if h:
-                anchors[a] = len(points) - 1
-        spans.append((start, len(points)))
-        prev_terminal = len(points) - 1
-    return Cluster(E, tuple(points), tuple(values), tuple(spans))
+                seconds += [ends[a]] + [ends[a + 1]] * (h - 1)
+            ends.append(len(values) - 1)
+        spans.append((start, len(values)))
+    return Cluster(E, tuple(values), tuple(rows), tuple(seconds), tuple(spans))
 
 
 def polar_cluster(E: EqClass) -> Cluster:
@@ -139,12 +100,12 @@ def polar_cluster(E: EqClass) -> Cluster:
     on row 0, so its value is n - 1, the polar's multiplicity.
     """
     base = singularity_cluster(E)
-    out: list[int] = []
-    for start, end in base.block_spans:
-        for i in range(start, end):
-            v = base.values[i]
-            out.append(v - 1 if i == end - 1 or base.points[i].row % 2 == 0 else v)
-    return Cluster(E, base.points, tuple(out), base.block_spans)
+    values = [v if a % 2 else v - 1 for v, a in zip(base.values, base.rows)]
+    for _, end in base.block_spans:
+        values[end - 1] = base.values[end - 1] - 1
+    return Cluster(
+        E, tuple(values), base.rows, base.second_proximities, base.block_spans
+    )
 
 
 def noether_sum(trace_a: Sequence[int], trace_b: Sequence[int]) -> int:
@@ -174,10 +135,12 @@ class ProximityReport:
 
 
 def check_proximity(C: Cluster) -> ProximityReport:
-    sums = [0] * len(C.points)
-    for p in C.points:
-        for target in p.proximities:
-            sums[target] += C.values[p.index]
+    # every point is proximate to its predecessor; satellites also to
+    # their second proximity target
+    sums = [*C.values[1:], 0]
+    for v, target in zip(C.values, C.second_proximities):
+        if target is not None:
+            sums[target] += v
     deficits = tuple(i for i, v in enumerate(C.values) if v < sums[i])
     strict = tuple(i for i, v in enumerate(C.values) if v > sums[i])
     return ProximityReport(deficits, strict)
@@ -192,27 +155,35 @@ def render(C: Cluster, fmt: str = "text") -> str:
     drawing convention); second proximities appear as dotted edges.
     Both outputs are deterministic.
     """
+    labels: list[str] = []
+    for k, (start, end) in enumerate(C.block_spans, 1):
+        for i in range(start, end):
+            if i == start or C.rows[i] != C.rows[i - 1]:
+                position = 0
+            position += 1
+            labels.append(f"{k}.{C.rows[i]}.{position}")
     if fmt == "text":
-        lines = [f"cluster of {C.eqclass} with {len(C.points)} points"]
-        for p in C.points:
-            entry = f"{p.label}  v={C.values[p.index]}  {p.kind}"
-            if p.second_proximity is not None:
-                targets = ", ".join(C.points[t].label for t in p.proximities)
-                entry += f"  prox({targets})"
-            lines.append(entry)
+        lines = [f"cluster of {C.eqclass} with {len(C)} points"]
+        for i, (label, second) in enumerate(zip(labels, C.second_proximities)):
+            if second is None:
+                lines.append(f"{label}  v={C.values[i]}  free")
+            else:
+                lines.append(
+                    f"{label}  v={C.values[i]}  satellite  "
+                    f"prox({labels[i - 1]}, {labels[second]})"
+                )
         return "\n".join(lines) + "\n"
     if fmt == "dot":
         lines = ["digraph enriques {", "  rankdir=LR;", '  node [shape=circle];']
-        for p in C.points:
-            lines.append(f'  n{p.index} [label="{p.label}\\nv={C.values[p.index]}"];')
-        for p in C.points:
-            if p.parent is not None:
-                curved = "true" if p.second_proximity is None else "false"
-                lines.append(f"  n{p.parent} -> n{p.index} [curved={curved}];")
-            if p.second_proximity is not None:
+        for i, label in enumerate(labels):
+            lines.append(f'  n{i} [label="{label}\\nv={C.values[i]}"];')
+        for i, second in enumerate(C.second_proximities):
+            if i:
+                curved = "true" if second is None else "false"
+                lines.append(f"  n{i - 1} -> n{i} [curved={curved}];")
+            if second is not None:
                 lines.append(
-                    f"  n{p.index} -> n{p.second_proximity} "
-                    "[style=dotted, constraint=false];"
+                    f"  n{i} -> n{second} [style=dotted, constraint=false];"
                 )
         lines.append("}")
         return "\n".join(lines) + "\n"

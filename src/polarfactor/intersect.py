@@ -45,10 +45,14 @@ __all__ = [
 ]
 
 
-def _exact_div(num: int, den: int, what: str) -> int:
+def _exact_div(num: int, den: int, what: str, *subjects: object) -> int:
+    """num / den, which must be exact; ``what`` names the quantity, with
+    ``{}`` fields for ``subjects``, and is formatted only on failure."""
     q, r = divmod(num, den)
     if r:
-        raise TheoremViolation(f"{what}: {num}/{den} is not an integer")
+        raise TheoremViolation(
+            f"{what.format(*subjects)}: {num}/{den} is not an integer"
+        )
     return q
 
 
@@ -73,14 +77,16 @@ def pair_intersection(E: EqClass, b1: PolarBranch, b2: PolarBranch) -> int:
         shared = _exact_div(
             lo.p * hi.p * scaled_polar_quotient(E, k - 1),
             e_prev * e_prev,
-            f"same-package pair in {E}",
+            "same-package pair in {}",
+            E,
         )
         return shared + hi.q * lo.p
     lo, hi = (b1, b2) if b1.package < b2.package else (b2, b1)
     return _exact_div(
         lo.p * hi.p * scaled_polar_quotient(E, lo.package),
         E.gcds[lo.package - 1] * E.gcds[hi.package - 1],
-        f"cross-package pair in {E}",
+        "cross-package pair in {}",
+        E,
     )
 
 
@@ -106,7 +112,9 @@ def branch_vs_curve(E: EqClass, b: PolarBranch) -> int:
     return _exact_div(
         b.p * scaled_polar_quotient(E, b.package),
         E.gcds[b.package - 1],
-        f"branch-curve intersection of {b} in {E}",
+        "branch-curve intersection of {} in {}",
+        b,
+        E,
     )
 
 
@@ -261,10 +269,10 @@ def verify_classes(
 def _verify_one(E: EqClass, report: SweepReport) -> None:
     curve = singularity_cluster(E)
     polar = polar_cluster(E)
-    size = len(curve.points)
+    size = len(curve)
     report.points += size
 
-    if polar.points is not curve.points:
+    if polar.second_proximities is not curve.second_proximities:
         report.record("support", f"{E}: polar support rebuilt, not shared")
     prox = check_proximity(curve)
     if prox.deficits or prox.strict != (size - 1,):

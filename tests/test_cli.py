@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from polarfactor.cli import main, parse_class_spec
+from polarfactor.cli import build_parser, main, parse_class_spec
 from polarfactor.eqclass import InvalidClassError, validate
 
 
@@ -159,3 +159,21 @@ def test_scan_tsv_and_json(capsys):
     doc = json.loads(out)
     assert doc["predicate"] == "genus-drop"
     assert {"class": "8:12,14,15", "lambda": 1, "max_branch_genus": 2} in doc["hits"]
+
+
+def test_parser_is_built_once_and_survives_an_error(capsys):
+    # the alias's matrix_only default must not leak into decompose either
+    requests = (
+        ("matrix", "8:12,14,15", "--json"),
+        ("decompose", "8:12,14,15", "--json"),
+    )
+    fresh = []
+    for argv in requests:
+        build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    build_parser.cache_clear()
+    with pytest.raises(SystemExit) as exc:
+        main(["decompose"])
+    assert exc.value.code == 2 and "required" in capsys.readouterr().err
+    assert [run(capsys, *argv) for argv in requests] == fresh
+    assert build_parser.cache_info().misses == 1

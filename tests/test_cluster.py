@@ -42,32 +42,36 @@ def test_polar_root_value_is_n_minus_one():
 
 def test_polar_shares_the_support_tuple():
     E = validate(8, [12, 14, 15])
-    assert polar_cluster(E).points is singularity_cluster(E).points
-    assert polar_cluster(E).block_spans == singularity_cluster(E).block_spans
+    curve, polar = singularity_cluster(E), polar_cluster(E)
+    assert polar.rows is curve.rows
+    assert polar.second_proximities is curve.second_proximities
+    assert polar.block_spans == curve.block_spans
 
 
 def test_chain_structure_and_kinds():
     C = singularity_cluster(validate(2, [3]))
-    assert [p.kind for p in C.points] == ["free", "free", "satellite"]
-    assert [p.parent for p in C.points] == [None, 0, 1]
-    assert C.points[2].proximities == (1, 0)
-    assert [p.label for p in C.points] == ["1.0.1", "1.1.1", "1.1.2"]
+    assert C.rows == (0, 1, 1)
+    assert C.second_proximities == (None, None, 0)
+    points = [line.split() for line in render(C).splitlines()[1:]]
+    assert [p[0] for p in points] == ["1.0.1", "1.1.1", "1.1.2"]
+    assert [p[2] for p in points] == ["free", "free", "satellite"]
 
     C = singularity_cluster(validate(5, [7]))
-    assert [p.kind for p in C.points] == [
+    assert C.rows == (0, 1, 1, 2, 2)
+    # successive rows lean on the previous row's last point
+    assert C.second_proximities == (None, None, 0, 0, 2)
+    points = [line.split() for line in render(C).splitlines()[1:]]
+    assert [p[2] for p in points] == [
         "free", "free", "satellite", "satellite", "satellite",
     ]
-    # successive rows lean on the previous row's last point
-    assert C.points[3].proximities == (2, 0)
-    assert C.points[4].proximities == (3, 2)
 
 
 def test_block_spans_and_terminals():
     C = singularity_cluster(validate(8, [12, 14, 15]))
     assert C.block_spans == ((0, 3), (3, 5), (5, 7))
     assert len(C) == 7
-    # every point's parent is its chain predecessor, including across blocks
-    assert [p.parent for p in C.points] == [None, 0, 1, 2, 3, 4, 5]
+    # a gap-below block's first row leans on the previous terminal
+    assert C.second_proximities == (None, None, 0, None, 2, None, 4)
 
 
 def test_curve_proximity_equality_except_final_point():
@@ -116,16 +120,78 @@ def test_render_text():
     assert out.endswith("\n")
 
 
+def test_render_text_pins_gap_below_and_row_zero_blocks():
+    # 8:12,14,15: blocks 2 and 3 open with an empty row 0
+    assert render(singularity_cluster(validate(8, [12, 14, 15]))) == (
+        "cluster of K(8;12,14,15) with 7 points\n"
+        "1.0.1  v=8  free\n"
+        "1.1.1  v=4  free\n"
+        "1.1.2  v=4  satellite  prox(1.1.1, 1.0.1)\n"
+        "2.1.1  v=2  free\n"
+        "2.1.2  v=2  satellite  prox(2.1.1, 1.1.2)\n"
+        "3.1.1  v=1  free\n"
+        "3.1.2  v=1  satellite  prox(3.1.1, 2.1.2)\n"
+    )
+    assert render(polar_cluster(validate(8, [12, 14, 15]))) == (
+        "cluster of K(8;12,14,15) with 7 points\n"
+        "1.0.1  v=7  free\n"
+        "1.1.1  v=4  free\n"
+        "1.1.2  v=3  satellite  prox(1.1.1, 1.0.1)\n"
+        "2.1.1  v=2  free\n"
+        "2.1.2  v=1  satellite  prox(2.1.1, 1.1.2)\n"
+        "3.1.1  v=1  free\n"
+        "3.1.2  v=0  satellite  prox(3.1.1, 2.1.2)\n"
+    )
+    # 10:15,22: block 2 has a row 0, which its satellites lean on
+    assert render(singularity_cluster(validate(10, [15, 22]))) == (
+        "cluster of K(10;15,22) with 8 points\n"
+        "1.0.1  v=10  free\n"
+        "1.1.1  v=5  free\n"
+        "1.1.2  v=5  satellite  prox(1.1.1, 1.0.1)\n"
+        "2.0.1  v=5  free\n"
+        "2.1.1  v=2  free\n"
+        "2.1.2  v=2  satellite  prox(2.1.1, 2.0.1)\n"
+        "2.2.1  v=1  satellite  prox(2.1.2, 2.0.1)\n"
+        "2.2.2  v=1  satellite  prox(2.2.1, 2.1.2)\n"
+    )
+    assert render(polar_cluster(validate(10, [15, 22]))) == (
+        "cluster of K(10;15,22) with 8 points\n"
+        "1.0.1  v=9  free\n"
+        "1.1.1  v=5  free\n"
+        "1.1.2  v=4  satellite  prox(1.1.1, 1.0.1)\n"
+        "2.0.1  v=4  free\n"
+        "2.1.1  v=2  free\n"
+        "2.1.2  v=2  satellite  prox(2.1.1, 2.0.1)\n"
+        "2.2.1  v=0  satellite  prox(2.1.2, 2.0.1)\n"
+        "2.2.2  v=0  satellite  prox(2.2.1, 2.1.2)\n"
+    )
+
+
 def test_render_dot():
-    out = render(singularity_cluster(validate(8, [12, 14, 15])), "dot")
-    assert out.startswith("digraph enriques {")
-    assert out.rstrip().endswith("}")
-    assert out.count("[label=") == 7
-    assert out.count("style=dotted") == 3  # one per satellite
-    assert 'n0 [label="1.0.1\\nv=8"];' in out
-    # chain edge into a free point is curved, into a satellite is not
-    assert "n0 -> n1 [curved=true];" in out
-    assert "n1 -> n2 [curved=false];" in out
+    # one node per point; a chain edge into a free point is curved, into
+    # a satellite not; one dotted edge per satellite
+    assert render(singularity_cluster(validate(8, [12, 14, 15])), "dot") == (
+        "digraph enriques {\n"
+        "  rankdir=LR;\n"
+        "  node [shape=circle];\n"
+        '  n0 [label="1.0.1\\nv=8"];\n'
+        '  n1 [label="1.1.1\\nv=4"];\n'
+        '  n2 [label="1.1.2\\nv=4"];\n'
+        '  n3 [label="2.1.1\\nv=2"];\n'
+        '  n4 [label="2.1.2\\nv=2"];\n'
+        '  n5 [label="3.1.1\\nv=1"];\n'
+        '  n6 [label="3.1.2\\nv=1"];\n'
+        "  n0 -> n1 [curved=true];\n"
+        "  n1 -> n2 [curved=false];\n"
+        "  n2 -> n0 [style=dotted, constraint=false];\n"
+        "  n2 -> n3 [curved=true];\n"
+        "  n3 -> n4 [curved=false];\n"
+        "  n4 -> n2 [style=dotted, constraint=false];\n"
+        "  n4 -> n5 [curved=true];\n"
+        "  n5 -> n6 [curved=false];\n"
+        "  n6 -> n4 [style=dotted, constraint=false];\n"
+        "}\n"
+    )
 
 
 def test_render_rejects_unknown_format():

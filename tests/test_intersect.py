@@ -150,3 +150,14 @@ def test_an_off_by_one_closed_form_is_caught(monkeypatch, closed_form, checks):
     assert "internal" not in report.failures
     with pytest.raises(TheoremViolation):
         intersection_report(validate(8, [12, 14, 15]))
+
+
+def test_an_inexact_closed_form_division_names_the_class(monkeypatch):
+    right = intersect.scaled_polar_quotient
+    monkeypatch.setattr(
+        intersect, "scaled_polar_quotient", lambda E, k: right(E, k) + 1
+    )
+    with pytest.raises(TheoremViolation) as exc:
+        intersection_report(validate(8, [12, 14, 15]))
+    assert "K(8;12,14,15)" in str(exc.value)
+    assert "is not an integer" in str(exc.value)
