@@ -9,13 +9,11 @@ is exact; no floats anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 __all__ = [
     "Convergent",
     "EuclidExpansion",
-    "continued_fraction_value",
     "convergent",
     "euclid_expansion",
     "forced_remainders",
@@ -82,19 +80,6 @@ def normalize_even(quotients: Sequence[int]) -> tuple[int, ...]:
     if qs[-1] < 2:
         raise ValueError(f"cannot split final quotient {qs[-1]} < 2")
     return qs[:-1] + (qs[-1] - 1, 1)
-
-
-def continued_fraction_value(quotients: Sequence[int]) -> Fraction:
-    """Exact value of [h0, h1, ..., hs] = h0 + 1/(h1 + 1/(...))."""
-    qs = tuple(quotients)
-    if not qs:
-        raise ValueError("empty quotient list")
-    if any(h < 1 for h in qs[1:]) or qs[0] < 0:
-        raise ValueError(f"malformed quotient list {qs}")
-    value = Fraction(qs[-1])
-    for h in reversed(qs[:-1]):
-        value = h + 1 / value
-    return value
 
 
 class Convergent(NamedTuple):

@@ -9,18 +9,17 @@ supposed to summarize, so scans can run both and compare:
                 lambda >= 1.
   smooth polar  (genus-1 classes) every polar branch is smooth; happens
                 exactly when m = lambda*n - 1, the genus-drop condition
-                read at r = 1, so its scan is the genus-drop scan
-                capped at genus 1.
+                read at r = 1, so its predicate is genus_drop and its
+                scan is the genus-drop scan capped at genus 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 from typing import Iterator
 
 from .decompose import decompose
-from .eqclass import EqClass, InvalidClassError, TheoremViolation, enumerate_classes
+from .eqclass import EqClass, TheoremViolation, enumerate_classes
 
 __all__ = [
     "ScanHit",
@@ -28,7 +27,6 @@ __all__ = [
     "genus_drop_lambda",
     "max_branch_genus",
     "scan",
-    "smooth_polar",
     "smooth_scan_pairs",
 ]
 
@@ -52,14 +50,6 @@ def genus_drop_lambda(E: EqClass) -> int | None:
     gap = E.exponents[-1] - E.exponent(E.genus - 1) + 1
     lam, rem = divmod(gap, E.gcds[E.genus - 1])
     return lam if rem == 0 else None
-
-
-def smooth_polar(n: int, m: int) -> bool:
-    """True when the polar of a general genus-1 member K(n; m) has only
-    smooth branches; closed form m = lambda*n - 1."""
-    if n < 2 or m <= n or gcd(n, m) != 1:
-        raise InvalidClassError(f"({n}, {m}) is not valid genus-1 data")
-    return m % n == n - 1
 
 
 @dataclass(frozen=True)

@@ -154,7 +154,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 
 def _cmd_enriques(args: argparse.Namespace) -> int:
     E = parse_class_spec(args.cls)
-    C = polar_cluster(E) if args.which == "polar" else singularity_cluster(E)
+    C = polar_cluster(E) if args.polar else singularity_cluster(E)
     print(render(C, "dot" if args.dot else "text"), end="")
     return 0
 
@@ -243,12 +243,10 @@ def build_parser() -> argparse.ArgumentParser:
     enr = sub.add_parser("enriques", help="cluster diagram of the curve or polar")
     enr.add_argument("cls", metavar="CLASS")
     enr.add_argument(
-        "--which",
-        choices=("curve", "polar"),
-        default="curve",
-        help="which valuations to show (default: curve)",
+        "--polar",
+        action="store_true",
+        help="show the polar's valuations (default: the curve's)",
     )
-    enr.add_argument("--polar", dest="which", action="store_const", const="polar")
     group = enr.add_mutually_exclusive_group()
     group.add_argument("--dot", action="store_true", help="DOT graph output")
     group.add_argument("--text", action="store_true", help="text output (default)")

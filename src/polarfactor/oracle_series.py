@@ -9,7 +9,8 @@ number against an actual curve with none of that machinery involved:
   2. implicitize to the integer polynomial F with F(t^n, y(t)) = 0,
      the characteristic polynomial of multiplication by y(t) over
      Z[x][t]/(t^n - x), from the power sums tr(y(t)^i) by Newton's
-     identities (exact integer arithmetic throughout);
+     identities (exact integer arithmetic throughout), kept as its
+     y-coefficients F[j] in Z[x];
   3. form the polar a*F_x + b*F_y at a random direction and measure
      its vanishing order along the parametrization.
 
@@ -34,7 +35,6 @@ from .eqclass import EqClass, TheoremViolation
 from .intersect import branch_vs_curve
 
 __all__ = [
-    "IntPoly2",
     "SeriesReport",
     "TruncSeries",
     "implicitize",
@@ -51,7 +51,7 @@ MAX_CONDUCTOR = 120
 
 
 class TruncSeries:
-    """Series in t (or, inside implicitize, polynomial in x) with exact
+    """Series in t (or, as a y-coefficient of F, polynomial in x) with exact
     integer coefficients and explicit truncation.
 
     ``trunc`` is the first unknown order: terms at exponents >= trunc
@@ -113,74 +113,6 @@ class TruncSeries:
         return inside + tail
 
 
-@dataclass(frozen=True)
-class IntPoly2:
-    """Bivariate integer polynomial, stored as sorted (i, j, c) terms
-    meaning c * x^i * y^j with c != 0."""
-
-    terms: tuple[tuple[int, int, int], ...]
-
-    @classmethod
-    def from_dict(cls, d: dict[tuple[int, int], int]) -> "IntPoly2":
-        return cls(tuple(sorted((i, j, c) for (i, j), c in d.items() if c)))
-
-    def as_dict(self) -> dict[tuple[int, int], int]:
-        return {(i, j): c for i, j, c in self.terms}
-
-    @property
-    def degree_y(self) -> int:
-        return max((j for _, j, _ in self.terms), default=0)
-
-    @property
-    def lowest_degree(self) -> int:
-        """Degree of the lowest nonzero homogeneous part (the
-        multiplicity at the origin of the curve it defines)."""
-        if not self.terms:
-            raise ValueError("zero polynomial")
-        return min(i + j for i, j, _ in self.terms)
-
-    def diff_x(self) -> "IntPoly2":
-        return IntPoly2.from_dict(
-            {(i - 1, j): c * i for i, j, c in self.terms if i}
-        )
-
-    def diff_y(self) -> "IntPoly2":
-        return IntPoly2.from_dict(
-            {(i, j - 1): c * j for i, j, c in self.terms if j}
-        )
-
-    def scaled(self, factor: int) -> "IntPoly2":
-        return IntPoly2.from_dict({(i, j): c * factor for i, j, c in self.terms})
-
-    def __add__(self, other: "IntPoly2") -> "IntPoly2":
-        out = self.as_dict()
-        for i, j, c in other.terms:
-            out[(i, j)] = out.get((i, j), 0) + c
-        return IntPoly2.from_dict(out)
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-
-        def monomial(i: int, j: int, c: int) -> str:
-            parts = []
-            if abs(c) != 1 or (i == 0 and j == 0):
-                parts.append(str(abs(c)))
-            if i:
-                parts.append("x" if i == 1 else f"x^{i}")
-            if j:
-                parts.append("y" if j == 1 else f"y^{j}")
-            return "*".join(parts)
-
-        ordered = sorted(self.terms, key=lambda t: (-t[1], t[0]))
-        out = []
-        for idx, (i, j, c) in enumerate(ordered):
-            sign = "-" if c < 0 else ("+" if idx else "")
-            out.append(f"{sign} {monomial(i, j, c)}" if idx else
-                       f"{sign}{monomial(i, j, c)}")
-        return " ".join(out)
-
-
 def sample_parametrization(E: EqClass, seed: int | None = None) -> TruncSeries:
     """Random polynomial parametrization y(t) of a member of class E.
 
@@ -204,9 +136,10 @@ def sample_parametrization(E: EqClass, seed: int | None = None) -> TruncSeries:
     return TruncSeries(coeffs)
 
 
-def implicitize(n: int, phi: TruncSeries) -> IntPoly2:
+def implicitize(n: int, phi: TruncSeries) -> tuple[TruncSeries, ...]:
     """The integer polynomial F, monic of degree n in y, vanishing on
-    the parametrized curve (t^n, phi(t)).
+    the parametrized curve (t^n, phi(t)), as its y-coefficients: F[j]
+    is the coefficient of y^j, a polynomial in x.
 
     F is the characteristic polynomial of multiplication by phi on the
     rank-n module with basis 1, t, ..., t^{n-1} over Z[x], t^n = x.
@@ -242,40 +175,48 @@ def implicitize(n: int, phi: TruncSeries) -> IntPoly2:
             if r:
                 raise TheoremViolation("Newton identity division not exact")
         coeffs.append(TruncSeries(quotient))
-    F = IntPoly2.from_dict(
-        {(i, n - k): c for k, ck in enumerate(coeffs) for i, c in ck.coeffs.items()}
-    )
+    F = tuple(reversed(coeffs))
 
     residue = evaluate_on_parametrization(F, n, phi)
     if residue.coeffs:
         raise TheoremViolation("implicitization residue is nonzero")
-    if F.lowest_degree != n:
+    if _multiplicity(F) != n:
         raise TheoremViolation(
-            f"implicit equation has multiplicity {F.lowest_degree}, expected {n}"
+            f"implicit equation has multiplicity {_multiplicity(F)}, expected {n}"
         )
     return F
 
 
 def evaluate_on_parametrization(
-    F: IntPoly2, n: int, phi: TruncSeries, trunc: int | None = None
+    F: tuple[TruncSeries, ...], n: int, phi: TruncSeries, trunc: int | None = None
 ) -> TruncSeries:
-    """F(t^n, phi(t)) as a series in t, optionally truncated for speed."""
-    by_y: dict[int, dict[int, int]] = {}
-    for i, j, c in F.terms:
-        by_y.setdefault(j, {})[n * i] = c
+    """F(t^n, phi(t)) as a series in t, optionally truncated for speed,
+    by Horner's rule over the y-coefficients of F."""
     result = TruncSeries({}, trunc)
-    for j in range(F.degree_y, -1, -1):
-        result = result * phi
-        if j in by_y:
-            result = result + TruncSeries(dict(by_y[j]), trunc)
+    for Fj in reversed(F):
+        result = result * phi + TruncSeries(
+            {n * i: c for i, c in Fj.coeffs.items()}, trunc
+        )
     return result
 
 
-def polar_poly(F: IntPoly2, a: int, b: int) -> IntPoly2:
-    """The polar a*F_x + b*F_y of F in direction (a : b)."""
+def polar_poly(F: tuple[TruncSeries, ...], a: int, b: int) -> tuple[TruncSeries, ...]:
+    """The polar a*F_x + b*F_y of F in direction (a : b), coefficient by
+    coefficient: its y^j coefficient is a*F[j]' + b*(j + 1)*F[j + 1]."""
     if a == 0 and b == 0:
         raise ValueError("polar direction (0, 0) is not allowed")
-    return F.diff_x().scaled(a) + F.diff_y().scaled(b)
+    above = F[1:] + (TruncSeries({}),)
+    return tuple(
+        TruncSeries({i - 1: a * i * c for i, c in Fj.coeffs.items() if i})
+        + TruncSeries({i: b * (j + 1) * c for i, c in Fup.coeffs.items()})
+        for j, (Fj, Fup) in enumerate(zip(F, above))
+    )
+
+
+def _multiplicity(F: tuple[TruncSeries, ...]) -> int:
+    """Degree of the lowest nonzero homogeneous part of F (the
+    multiplicity at the origin of the curve it defines)."""
+    return min(Fj.order() + j for j, Fj in enumerate(F) if Fj.coeffs)
 
 
 @dataclass(frozen=True)
@@ -334,20 +275,23 @@ def verify_class(E: EqClass, seed: int | None = None, retries: int = 5) -> Serie
         direction = (rng.choice(nonzero), rng.choice(nonzero))
         polar = polar_poly(F, *direction)
         observed = _order_along(polar, n, phi, expected)
-        fy_order = _order_along(F.diff_y(), n, phi, expected)
+        fy_order = _order_along(polar_poly(F, 0, 1), n, phi, expected)
+        multiplicity = _multiplicity(polar)
         matched = (
             observed == expected
             and fy_order == E.milnor + n - 1
-            and polar.lowest_degree == n - 1
+            and multiplicity == n - 1
         )
         if matched or attempts > retries:
             return SeriesReport(
-                E, expected, observed, fy_order, polar.lowest_degree,
+                E, expected, observed, fy_order, multiplicity,
                 direction, attempts, matched, seed,
             )
 
 
-def _order_along(P: IntPoly2, n: int, phi: TruncSeries, expected: int) -> int:
+def _order_along(
+    P: tuple[TruncSeries, ...], n: int, phi: TruncSeries, expected: int
+) -> int:
     """Vanishing order of P along (t^n, phi(t)); exact despite truncation
     because the truncation window is widened until a term shows up."""
     trunc = expected + n + 4

@@ -9,13 +9,13 @@ Euclid's own remainders.
 
 from fractions import Fraction
 from math import gcd
+from typing import Sequence
 
 import pytest
 from hypothesis import given, strategies as st
 
 from polarfactor.arith import (
     Convergent,
-    continued_fraction_value,
     convergent,
     euclid_expansion,
     forced_remainders,
@@ -24,6 +24,19 @@ from polarfactor.arith import (
 
 nums = st.integers(min_value=0, max_value=400)
 dens = st.integers(min_value=1, max_value=400)
+
+
+def continued_fraction_value(quotients: Sequence[int]) -> Fraction:
+    """Reference value of [h0, h1, ..., hs] = h0 + 1/(h1 + 1/(...))."""
+    qs = tuple(quotients)
+    if not qs:
+        raise ValueError("empty quotient list")
+    if any(h < 1 for h in qs[1:]) or qs[0] < 0:
+        raise ValueError(f"malformed quotient list {qs}")
+    value = Fraction(qs[-1])
+    for h in reversed(qs[:-1]):
+        value = h + 1 / value
+    return value
 
 
 # ---------------------------------------------------------------- examples

@@ -1,5 +1,7 @@
 """Genus-drop and smooth-polar predicates, formula vs construction."""
 
+from math import gcd
+
 import pytest
 
 from polarfactor.classify import (
@@ -7,10 +9,17 @@ from polarfactor.classify import (
     genus_drop_lambda,
     max_branch_genus,
     scan,
-    smooth_polar,
     smooth_scan_pairs,
 )
 from polarfactor.eqclass import InvalidClassError, validate
+
+
+def smooth_polar(n: int, m: int) -> bool:
+    """Reference predicate: the polar of a general genus-1 member K(n; m)
+    has only smooth branches; closed form m = lambda*n - 1."""
+    if n < 2 or m <= n or gcd(n, m) != 1:
+        raise InvalidClassError(f"({n}, {m}) is not valid genus-1 data")
+    return m % n == n - 1
 
 
 def test_genus_drop_examples():
@@ -42,6 +51,9 @@ def test_smooth_polar_examples():
     assert smooth_polar(4, 7)
     assert not smooth_polar(5, 7)
     assert not smooth_polar(8, 19)
+    # the genus-1 reading of the production predicate agrees
+    for n, m in [(2, 3), (4, 7), (5, 7), (8, 19)]:
+        assert genus_drop(validate(n, [m])) == smooth_polar(n, m)
 
 
 def test_smooth_polar_rejects_invalid_data():

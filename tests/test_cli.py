@@ -101,6 +101,9 @@ def test_enriques_text_and_polar(capsys):
     )
     _, polar, _ = run(capsys, "enriques", "2:3", "--polar")
     assert "1.0.1  v=1" in polar and "1.1.2  v=0" in polar
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "enriques", "2:3", "--which", "polar")
+    assert exc.value.code == 2 and "--which" in capsys.readouterr().err
 
 
 def test_enriques_dot(capsys):

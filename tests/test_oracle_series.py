@@ -2,9 +2,9 @@
 
 import pytest
 
+from polarfactor import oracle_series
 from polarfactor.eqclass import TheoremViolation, validate
 from polarfactor.oracle_series import (
-    IntPoly2,
     TruncSeries,
     evaluate_on_parametrization,
     implicitize,
@@ -37,22 +37,26 @@ def test_series_order_degree_and_cleanup():
     assert "O(t^6)" in repr(TruncSeries({2: 1}, trunc=6))
 
 
-# ---------------------------------------------------------------- IntPoly2
+# ------------------------------------------------- F as y-coefficients
+
+
+def poly(*coeffs):
+    """F from its y-coefficients, each a {x-exponent: coefficient} dict."""
+    return tuple(TruncSeries(c) for c in coeffs)
 
 
 def test_poly_accessors_and_derivatives():
-    F = IntPoly2.from_dict({(0, 2): 1, (3, 0): -1})
-    assert str(F) == "y^2 - x^3"
-    assert F.degree_y == 2
-    assert F.lowest_degree == 2
-    assert F.diff_x().as_dict() == {(2, 0): -3}
-    assert F.diff_y().as_dict() == {(0, 1): 2}
-    assert str(polar_poly(F, 1, 1)) == "2*y - 3*x^2"
-    assert polar_poly(F, 2, 0).as_dict() == {(2, 0): -6}
+    F = poly({3: -1}, {}, {0: 1})  # y^2 - x^3
+    assert len(F) - 1 == 2  # degree in y
+    assert oracle_series._multiplicity(F) == 2
+    assert polar_poly(F, 1, 0) == poly({2: -3}, {}, {})  # F_x
+    assert polar_poly(F, 0, 1) == poly({}, {0: 2}, {})  # F_y
+    assert polar_poly(F, 1, 1) == poly({2: -3}, {0: 2}, {})  # 2*y - 3*x^2
+    assert polar_poly(F, 2, 0) == poly({2: -6}, {}, {})
 
 
 def test_polar_rejects_zero_direction():
-    F = IntPoly2.from_dict({(0, 2): 1, (3, 0): -1})
+    F = poly({3: -1}, {}, {0: 1})
     with pytest.raises(ValueError):
         polar_poly(F, 0, 0)
 
@@ -62,23 +66,34 @@ def test_polar_rejects_zero_direction():
 
 def test_implicitize_cusp():
     for n, phi, expected in [
-        (2, {3: 1}, "y^2 - x^3"),
-        (3, {4: 1}, "y^3 - x^4"),
-        (2, {3: 1, 4: 1}, "y^2 - 2*x^2*y - x^3 + x^4"),
+        (2, {3: 1}, poly({3: -1}, {}, {0: 1})),  # y^2 - x^3
+        (3, {4: 1}, poly({4: -1}, {}, {}, {0: 1})),  # y^3 - x^4
+        # y^2 - 2*x^2*y - x^3 + x^4
+        (2, {3: 1, 4: 1}, poly({3: -1, 4: 1}, {2: -2}, {0: 1})),
         # the classical (y^2 - x^3)^2 - 4x^5y - x^7
-        (4, {6: 1, 7: 1}, "y^4 - 2*x^3*y^2 - 4*x^5*y + x^6 - x^7"),
-        (3, {4: 1, 5: 2}, "y^3 - 6*x^3*y - x^4 - 8*x^5"),
+        (4, {6: 1, 7: 1}, poly({6: 1, 7: -1}, {5: -4}, {3: -2}, {}, {0: 1})),
+        # y^3 - 6*x^3*y - x^4 - 8*x^5
+        (3, {4: 1, 5: 2}, poly({4: -1, 5: -8}, {3: -6}, {}, {0: 1})),
     ]:
-        assert str(implicitize(n, TruncSeries(phi))) == expected
+        assert implicitize(n, TruncSeries(phi)) == expected
 
 
 def test_implicitize_perturbed_cusp_vanishes_on_the_curve():
     phi = TruncSeries({3: 1, 4: 1})
     F = implicitize(2, phi)
-    assert F.degree_y == 2
-    assert F.lowest_degree == 2
+    assert len(F) - 1 == 2
+    assert oracle_series._multiplicity(F) == 2
     assert evaluate_on_parametrization(F, 2, phi).coeffs == {}
-    assert F.as_dict()[(0, 2)] == 1  # monic in y
+    assert F[2] == TruncSeries({0: 1})  # monic in y
+
+
+def test_implicitize_refuses_a_nonzero_residue(monkeypatch):
+    monkeypatch.setattr(
+        oracle_series, "evaluate_on_parametrization",
+        lambda *args, **kwargs: TruncSeries({7: 1}),
+    )
+    with pytest.raises(TheoremViolation, match="residue is nonzero"):
+        implicitize(2, TruncSeries({3: 1}))
 
 
 def test_implicitize_input_guards():
@@ -141,6 +156,19 @@ def test_verify_class_anchor_totals(n, ms, expected):
 def test_verify_class_zero_retries_still_reports():
     report = verify_class(validate(2, [3]), seed=1, retries=0)
     assert report.attempts == 1 and report.matched
+
+
+def test_verify_class_resamples_then_reports_a_mismatch(monkeypatch):
+    # every sample is the K(2;5) curve y^2 = x^5, which is not in K(2;3)
+    monkeypatch.setattr(
+        oracle_series, "sample_parametrization",
+        lambda E, seed=None: TruncSeries({5: 1}),
+    )
+    report = verify_class(validate(2, [3]), seed=1, retries=1)
+    assert not report.matched
+    assert report.attempts == 2
+    assert report.observed == 5 and report.expected == 3
+    assert "MISMATCH" in report.summary()
 
 
 def test_verify_class_desk_scale_guard():
