@@ -171,7 +171,7 @@ def _cmd_verify_cluster(args: argparse.Namespace) -> int:
 def _cmd_verify_series(args: argparse.Namespace) -> int:
     E = parse_class_spec(args.cls)
     try:
-        report = verify_class(E, seed=args.seed, retries=args.retries)
+        report = verify_class(E, seed=args.seed)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -265,7 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     vs = vsub.add_parser("series", help="symbolic check of one class")
     vs.add_argument("cls", metavar="CLASS")
     vs.add_argument("--seed", type=int, default=None)
-    vs.add_argument("--retries", type=int, default=5)
     vs.set_defaults(func=_cmd_verify_series)
 
     sc = sub.add_parser("scan", help="classes whose polar branches drop genus")

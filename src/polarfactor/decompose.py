@@ -21,6 +21,7 @@ from typing import Iterator, NamedTuple
 from .arith import convergent, forced_remainders, normalize_even
 from .eqclass import (
     EqClass,
+    InvalidClassError,
     TheoremViolation,
     block_expansion,
     canonicalize_exponents,
@@ -102,10 +103,6 @@ class PolarDecomposition:
     eqclass: EqClass
     packages: tuple[PolarPackage, ...]
 
-    @property
-    def total_multiplicity(self) -> int:
-        return sum(pkg.multiplicity for pkg in self.packages)
-
     def branches(self) -> Iterator[PolarBranch]:
         for pkg in self.packages:
             yield from pkg.branches
@@ -144,7 +141,10 @@ def decompose(E: EqClass) -> PolarDecomposition:
             if exps[0] == 1:
                 canonical = None  # smooth: p = 1 in package 1
             else:
-                canonical = canonicalize_exponents(exps[0], exps[1:])
+                try:
+                    canonical = canonicalize_exponents(exps[0], exps[1:])
+                except InvalidClassError as exc:
+                    raise TheoremViolation(f"branch {exps} of {E}: {exc}") from exc
             for j in range(1, hn[2 * i] + 1):
                 branches.append(PolarBranch(
                     k, i, j, len(branches), p, q, gap_below, exps, canonical
@@ -229,7 +229,10 @@ def branch_trace(E: EqClass, b: PolarBranch) -> tuple[int, ...]:
                     f"non-integral scaled multiplicity in block {j} of {E}"
                 )
             trace += [scaled] * h
-    walk = forced_remainders(hn, b.q, b.p)
+    try:
+        walk = forced_remainders(hn, b.q, b.p)
+    except ValueError as exc:
+        raise TheoremViolation(f"{b} of {E}: {exc}") from exc
     if b.starts_at_terminal and trace[-1] != walk[0]:
         raise TheoremViolation(
             f"{b} of {E}: chain anchor value {walk[0]} != "

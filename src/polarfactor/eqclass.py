@@ -158,20 +158,16 @@ def block_expansion(E: EqClass, k: int) -> EuclidExpansion:
 def scaled_polar_quotient(E: EqClass, l: int) -> int:
     """n times the l-th polar quotient; an integer for every l.
 
-    Equals n*m_1 + sum_{w=1}^{l-1} e_w*(m_{w+1} - m_w), which telescopes
-    to sum_{w<l} m_w*(e_{w-1} - e_w) + m_l*e_{l-1}.  The first form also
-    equals the sum of the squared curve multiplicities over the cluster
-    points of blocks 1..l, which is how the Noether oracle certifies it.
-    l = 0 is allowed and gives 0 (empty block range).
+    Merle's form e_{l-1}*v_l, with v_l the l-th semigroup generator.  By
+    the semigroup recursion it telescopes to n*m_1 + sum_{w=1}^{l-1}
+    e_w*(m_{w+1} - m_w), which also equals the sum of the squared curve
+    multiplicities over the cluster points of blocks 1..l; that is how
+    the Noether oracle certifies it.  l = 0 is allowed and gives 0
+    (empty block range).
     """
     if not 0 <= l <= E.genus:
         raise ValueError(f"package index {l} out of range 0..{E.genus}")
-    if l == 0:
-        return 0
-    total = E.multiplicity * E.exponents[0]
-    for w in range(1, l):
-        total += E.gcds[w] * (E.exponents[w] - E.exponents[w - 1])
-    return total
+    return E.gcds[l - 1] * E.semigroup[l] if l else 0
 
 
 def polar_quotient(E: EqClass, l: int) -> Fraction:

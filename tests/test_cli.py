@@ -124,6 +124,10 @@ def test_verify_series_subcommand(capsys):
     code, _, err = run(capsys, "verify", "series", "10:21")
     assert code == 2 and "desk-scale" in err
 
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "verify", "series", "4:6,7", "--retries", "1")
+    assert exc.value.code == 2 and "--retries" in capsys.readouterr().err
+
 
 def test_verify_cluster_subcommand(capsys):
     code, out, _ = run(capsys, "verify", "cluster", "--max-n", "5", "--max-m", "25")

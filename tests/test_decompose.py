@@ -21,7 +21,7 @@ def test_three_package_worked_example():
     assert len(D.packages) == 3
     assert [pkg.multiplicity for pkg in D.packages] == [1, 2, 4]
     assert [pkg.quotient for pkg in D.packages] == [12, 13, Fraction(53, 4)]
-    assert D.total_multiplicity == 7
+    assert sum(pkg.multiplicity for pkg in D.packages) == 7
 
     b1, b2, b3 = D.branches()
     assert b1.canonical is None and b1.exponents == (1, 2)

@@ -97,6 +97,22 @@ def test_scaled_polar_quotients():
         scaled_polar_quotient(E, 4)
 
 
+def telescoped_polar_quotient(E, l):
+    """n*m_1 + sum_{w=1}^{l-1} e_w*(m_{w+1} - m_w), 0 for l = 0."""
+    if l == 0:
+        return 0
+    total = E.multiplicity * E.exponents[0]
+    for w in range(1, l):
+        total += E.gcds[w] * (E.exponents[w] - E.exponents[w - 1])
+    return total
+
+
+def test_merle_form_equals_the_telescoped_sum():
+    for E in enumerate_classes(16, 60):
+        for l in range(E.genus + 1):
+            assert scaled_polar_quotient(E, l) == telescoped_polar_quotient(E, l)
+
+
 def test_polar_quotient_first_package_is_m1():
     for n, ms in [(2, [3]), (5, [7]), (10, [15, 22]), (8, [12, 14, 15])]:
         E = validate(n, ms)

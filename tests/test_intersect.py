@@ -1,11 +1,13 @@
 """Closed-form intersection numbers against the Noether trace oracle."""
 
 import itertools
+import sys
 
 import pytest
 
 from polarfactor import intersect
-from polarfactor.decompose import decompose
+from polarfactor.cli import main
+from polarfactor.decompose import branch_trace, decompose
 from polarfactor.eqclass import TheoremViolation, enumerate_classes, validate
 from polarfactor.intersect import (
     branch_vs_curve,
@@ -161,3 +163,67 @@ def test_an_inexact_closed_form_division_names_the_class(monkeypatch):
         intersection_report(validate(8, [12, 14, 15]))
     assert "K(8;12,14,15)" in str(exc.value)
     assert "is not an integer" in str(exc.value)
+
+
+def test_a_wrong_branch_count_is_recorded(monkeypatch):
+    right = intersect.package_summary
+    monkeypatch.setattr(
+        intersect,
+        "package_summary",
+        lambda E: tuple(s._replace(branches=s.branches + 1) for s in right(E)),
+    )
+    report = verify_classes(4, 9)
+    assert set(report.failures) == {"package_summary"}
+    packages = sum(E.genus for E in enumerate_classes(4, 9))
+    assert report.failures["package_summary"] == packages
+
+
+def test_a_wrong_package_multiplicity_reaches_the_sweep_as_internal(monkeypatch):
+    # decompose raises on its own multiplicity check before the sweep
+    # could compare anything; K(2;3)'s one ladder is (1, 1, 1).
+    module = sys.modules["polarfactor.decompose"]
+    right = module.convergent
+    decompose.cache_clear()
+    monkeypatch.setattr(
+        module,
+        "convergent",
+        lambda hn, i: (2, 3) if tuple(hn) == (1, 1, 1) else right(hn, i),
+    )
+    report = verify_classes(4, 9)
+    assert "internal" in report.failures
+    assert any(
+        ex.startswith("K(2;3): ") and "constructed multiplicity" in ex
+        for ex in report.examples["internal"]
+    )
+
+
+def _drop_last_exponent(right):
+    return lambda n, exps: right(n, exps[:-1])
+
+
+def _walk_from_q_plus_p(right):
+    return lambda hs, q, p: right(hs, q + p, p)
+
+
+@pytest.mark.parametrize(
+    "name, fault",
+    [
+        ("canonicalize_exponents", _drop_last_exponent),
+        ("forced_remainders", _walk_from_q_plus_p),
+    ],
+)
+def test_an_internal_input_error_is_a_theorem_violation(
+    monkeypatch, capsys, name, fault
+):
+    # A helper refusing data this code computed is a bug here, not bad
+    # user input: the sweep records it and the CLI exits 1, not 2.
+    module = sys.modules["polarfactor.decompose"]
+    decompose.cache_clear()
+    branch_trace.cache_clear()
+    monkeypatch.setattr(module, name, fault(getattr(module, name)))
+    report = verify_classes(4, 9)
+    assert "internal" in report.failures
+    assert main(["decompose", "5:7", "--json"]) == 1
+    assert main(["verify", "cluster", "--max-n", "4", "--max-m", "9"]) == 1
+    err = capsys.readouterr().err
+    assert "verification failure" in err and "error:" not in err
