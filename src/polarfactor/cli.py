@@ -155,7 +155,12 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 def _cmd_enriques(args: argparse.Namespace) -> int:
     E = parse_class_spec(args.cls)
     C = polar_cluster(E) if args.polar else singularity_cluster(E)
-    print(render(C, "dot" if args.dot else "text"), end="")
+    try:
+        text = render(C, "dot" if args.dot else "text")
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    print(text, end="")
     return 0
 
 

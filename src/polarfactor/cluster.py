@@ -7,12 +7,16 @@ a of the staircase carries h_a points whose effective multiplicity is
 the row's divisor.  The general polar curve passes through the same
 support with valuations obtained from the curve's by a parity rule.
 
-A cluster is kept as per-point tuples in chain order: point i lies in
-the first neighbourhood of point i - 1, so the index and the parent
-are tuple positions.  A point is free when it is proximate only to its
-parent and satellite when one more ancestor sees it (it lies on that
-ancestor's exceptional divisor); that second proximity target is what
-the staircase encodes.  Only ``render`` names points by their
+A cluster is kept as runs, one (value, count) per segment of each
+block's even-normalized ladder: normalize_even splits an odd last row
+h_s into h_s - 1 points and the terminal point.  Polar branch traces
+use the same segments, so every sum over points is a sum over aligned
+runs, and the cost follows the number of rows, not of points.  Point i
+lies in the first neighbourhood of point i - 1.  A point is free when
+it is proximate only to its parent and satellite when one more
+ancestor sees it (it lies on that ancestor's exceptional divisor); that
+second proximity target is what the staircase encodes.  Only
+``render`` expands runs into points and names them by their
 block.row.position labels.
 """
 
@@ -22,10 +26,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .eqclass import EqClass, block_expansion
+from .arith import normalize_even
+from .eqclass import EqClass, TheoremViolation, block_expansion
 
 __all__ = [
     "Cluster",
+    "MAX_RENDER_POINTS",
     "ProximityReport",
     "check_proximity",
     "noether_sum",
@@ -34,86 +40,150 @@ __all__ = [
     "singularity_cluster",
 ]
 
+# render is the only code that expands runs into points; above this
+# many points it refuses instead of building the listing.
+MAX_RENDER_POINTS = 100_000
+
 
 @dataclass(frozen=True)
 class Cluster:
-    """A weighted cluster as per-point tuples in chain order.
+    """A weighted cluster as runs over the even-normalized Euclid rows.
 
-    ``values[i]`` is the virtual multiplicity at point i, ``rows[i]``
-    the point's row in its block's staircase and
-    ``second_proximities[i]`` the extra proximity target of a
-    satellite point, None for a free one.  ``block_spans[k-1]`` is the
-    half-open index range of block k; the block's terminal point sits
-    at the end of its span.  Two clusters over the same class share
-    the identical ``rows`` and ``second_proximities`` tuples, so "same
+    Segment i holds ``counts[i]`` consecutive points of virtual
+    multiplicity ``runs[i]``; ``steps[i]`` is the segment's index in its
+    block's ladder, so each block opens at a step 0.  ``counts`` is the
+    blocks' ladders concatenated, and a count is 0 only for an empty row
+    0 (an exponent gap below e_{k-1}).  Two clusters over the same class
+    share the identical ``counts`` and ``steps`` tuples, so "same
     support" is literal object identity.
+
+    The per-point views (``values``, ``rows``, ``second_proximities``,
+    ``block_spans``) expand the runs again on every access; they serve
+    display and tests, while computations stay on the runs.
     """
 
     eqclass: EqClass
-    values: tuple[int, ...]
-    rows: tuple[int, ...]
-    second_proximities: tuple[int | None, ...]
-    block_spans: tuple[tuple[int, int], ...]
+    runs: tuple[int, ...]
+    counts: tuple[int, ...]
+    steps: tuple[int, ...]
 
     def __len__(self) -> int:
-        return len(self.values)
+        return sum(self.counts)
+
+    @property
+    def values(self) -> tuple[int, ...]:
+        """The virtual multiplicity of each point in chain order."""
+        return _points(self)[0]
+
+    @property
+    def rows(self) -> tuple[int, ...]:
+        """Each point's row in its block's staircase."""
+        return _points(self)[1]
+
+    @property
+    def second_proximities(self) -> tuple[int | None, ...]:
+        """Each satellite's extra proximity target, None for a free point."""
+        return _points(self)[2]
+
+    @property
+    def block_spans(self) -> tuple[tuple[int, int], ...]:
+        """The half-open point range of each block; its terminal point
+        sits at the end."""
+        return _points(self)[3]
+
+
+def _points(C: Cluster) -> tuple[tuple, tuple, tuple, tuple]:
+    """Expand the runs into per-point values, rows and second
+    proximities, and the point range of each block.
+
+    The first point of segment a is also proximate to the end of segment
+    a - 2, the others to the end of segment a - 1; steps 0 and 1 open
+    free.  An empty segment 0 ends at the previous block's terminal.  A
+    ladder ends in 1 exactly when normalize_even split its odd last row
+    (a Euclid ladder's last quotient is at least 2), and that split-off
+    terminal point stays on the row it came from.
+    """
+    values: list[int] = []
+    rows: list[int] = []
+    seconds: list[int | None] = []
+    starts: list[int] = []
+    for i, (v, h, a) in enumerate(zip(C.runs, C.counts, C.steps)):
+        if a == 0:
+            starts.append(len(values))
+            ends: list[int | None] = [None, None]
+        closes_block = i + 1 == len(C.steps) or C.steps[i + 1] == 0
+        row = a - 1 if closes_block and h == 1 else a
+        values += [v] * h
+        rows += [row] * h
+        if h:
+            seconds += [ends[a]] + [ends[a + 1]] * (h - 1)
+        ends.append(len(values) - 1)
+    spans = tuple(zip(starts, [*starts[1:], len(values)]))
+    return tuple(values), tuple(rows), tuple(seconds), spans
 
 
 @lru_cache(maxsize=512)
 def singularity_cluster(E: EqClass) -> Cluster:
     """The cluster of singular points of a branch in class E.
 
-    Valuations are the effective multiplicities of the curve, so the
-    proximity equality v(P) = sum of proximate successors holds at
+    Segment a of block k carries its Euclid row's divisor, and the
+    terminal point split off an odd last row keeps that row's divisor
+    e_k.  Valuations are the effective multiplicities of the curve, so
+    the proximity equality v(P) = sum of proximate successors holds at
     every point except the very last one (where the curve leaves the
     cluster through multiplicity-1 free points that are not singular
     and hence not materialized).
     """
-    values: list[int] = []
-    rows: list[int] = []
-    seconds: list[int | None] = []
-    spans: list[tuple[int, int]] = []
+    runs: list[int] = []
+    counts: list[int] = []
+    steps: list[int] = []
     for k in range(1, E.genus + 1):
         exp = block_expansion(E, k)
-        start = len(values)
-        # ends[a + 2] = last point of row a; an empty row 0 (exponent gap
-        # below e_{k-1}) ends at the previous block's terminal.  The first
-        # point of row a is also proximate to the end of row a - 2, the
-        # others to the end of row a - 1; row 0 and row 1's first point
-        # are free.
-        ends: list[int | None] = [None, None]
-        for a, (h, v) in enumerate(zip(exp.quotients, exp.row_values())):
-            values += [v] * h
-            rows += [a] * h
-            if h:
-                seconds += [ends[a]] + [ends[a + 1]] * (h - 1)
-            ends.append(len(values) - 1)
-        spans.append((start, len(values)))
-    return Cluster(E, tuple(values), tuple(rows), tuple(seconds), tuple(spans))
+        ladder = normalize_even(exp.quotients)
+        divisors = exp.row_values()
+        runs += (divisors + divisors[-1:])[: len(ladder)]
+        counts += ladder
+        steps += range(len(ladder))
+    return Cluster(E, tuple(runs), tuple(counts), tuple(steps))
 
 
 def polar_cluster(E: EqClass) -> Cluster:
     """Valuations of the general polar on the support of the curve.
 
-    Same points, valuation v(P) - 1 on even rows and at every block's
-    terminal point, v(P) on the remaining odd-row points.  The root is
-    on row 0, so its value is n - 1, the polar's multiplicity.
+    Same segments, valuation v - 1 on even steps and v on odd ones.  The
+    root opens block 1 at step 0, so its value is n - 1, the polar's
+    multiplicity.  A ladder's last step is even (normalize_even gives an
+    odd last row's terminal point a segment of its own), so every
+    block's terminal reads e_k - 1 with no special case.
     """
     base = singularity_cluster(E)
-    values = [v if a % 2 else v - 1 for v, a in zip(base.values, base.rows)]
-    for _, end in base.block_spans:
-        values[end - 1] = base.values[end - 1] - 1
-    return Cluster(
-        E, tuple(values), base.rows, base.second_proximities, base.block_spans
-    )
+    runs = tuple(v if a % 2 else v - 1 for v, a in zip(base.runs, base.steps))
+    return Cluster(E, runs, base.counts, base.steps)
 
 
-def noether_sum(trace_a: Sequence[int], trace_b: Sequence[int]) -> int:
+def noether_sum(
+    trace_a: tuple[Sequence[int], Sequence[int]],
+    trace_b: tuple[Sequence[int], Sequence[int]],
+) -> int:
     """Intersection multiplicity of two germs from their multiplicity
-    traces on a common chain of infinitely near points: the sum of the
-    pointwise products.  Points missing from a germ carry trace 0, so
-    shorter sequences are padded implicitly."""
-    return sum(x * y for x, y in zip(trace_a, trace_b))
+    traces on a common chain of infinitely near points: the sum over the
+    shared points of the products.
+
+    A trace is a pair (values, counts) of runs over the cluster's
+    segments from the root on.  A germ that leaves the cluster early has
+    fewer runs, and the points beyond count as 0.  Both traces must cut
+    the shared part into the same segments: a count that differs at one
+    position raises TheoremViolation.
+    """
+    (xs, hs), (ys, gs) = trace_a, trace_b
+    total = 0
+    for x, h, y, g in zip(xs, hs, ys, gs):
+        if h != g:
+            raise TheoremViolation(
+                f"traces disagree on a segment: {h} points against {g}"
+            )
+        total += h * x * y
+    return total
 
 
 @dataclass(frozen=True)
@@ -123,7 +193,8 @@ class ProximityReport:
     ``deficits`` lists points with v(P) < sum of proximate successors —
     an inconsistent cluster, never expected.  ``strict`` lists points
     where the inequality is strict; a curve cluster shows this only at
-    the final point, the polar cluster also at odd-row terminals.
+    the final point, the polar cluster at the last point of every
+    nonempty odd segment.
     """
 
     deficits: tuple[int, ...]
@@ -135,15 +206,36 @@ class ProximityReport:
 
 
 def check_proximity(C: Cluster) -> ProximityReport:
-    # every point is proximate to its predecessor; satellites also to
-    # their second proximity target
-    sums = [*C.values[1:], 0]
-    for v, target in zip(C.values, C.second_proximities):
-        if target is not None:
-            sums[target] += v
-    deficits = tuple(i for i, v in enumerate(C.values) if v < sums[i])
-    strict = tuple(i for i, v in enumerate(C.values) if v > sums[i])
-    return ProximityReport(deficits, strict)
+    # Every point is proximate to its predecessor; the first point of
+    # segment a also to the end of segment a - 2, its other points to the
+    # end of segment a - 1 (steps 0 and 1 open free).  A point inside a
+    # segment is proximate only to its successor, of equal value, so the
+    # equality holds there and only segment ends need checking.
+    # sums[j] collects what is proximate to the last point of segment j;
+    # the extra slot at index -1 takes the root's missing predecessor.
+    sums = [0] * (len(C.runs) + 1)
+    tail = -1  # the segment holding the last point so far
+    for j, (v, h, a) in enumerate(zip(C.runs, C.counts, C.steps)):
+        if a == 0:
+            ends: list[int | None] = [None, None]
+        if h:
+            sums[tail] += v
+            if ends[a] is not None:
+                sums[ends[a]] += v
+            if ends[a + 1] is not None:
+                sums[ends[a + 1]] += (h - 1) * v
+            tail = j
+        ends.append(tail)
+    deficits: list[int] = []
+    strict: list[int] = []
+    last = -1
+    for v, h, total in zip(C.runs, C.counts, sums):
+        last += h
+        if h and v < total:
+            deficits.append(last)
+        elif h and v > total:
+            strict.append(last)
+    return ProximityReport(tuple(deficits), tuple(strict))
 
 
 def render(C: Cluster, fmt: str = "text") -> str:
@@ -153,31 +245,39 @@ def render(C: Cluster, fmt: str = "text") -> str:
     proximity targets of satellites.  DOT: chain edges carry a
     curved=true attribute exactly when the child is free (the classical
     drawing convention); second proximities appear as dotted edges.
-    Both outputs are deterministic.
+    Both outputs are deterministic.  A cluster of more than
+    MAX_RENDER_POINTS points raises ValueError.
     """
+    size = len(C)
+    if size > MAX_RENDER_POINTS:
+        raise ValueError(
+            f"{C.eqclass} has {size} cluster points; rendering stops at "
+            f"{MAX_RENDER_POINTS}"
+        )
+    values, rows, seconds, spans = _points(C)
     labels: list[str] = []
-    for k, (start, end) in enumerate(C.block_spans, 1):
+    for k, (start, end) in enumerate(spans, 1):
         for i in range(start, end):
-            if i == start or C.rows[i] != C.rows[i - 1]:
+            if i == start or rows[i] != rows[i - 1]:
                 position = 0
             position += 1
-            labels.append(f"{k}.{C.rows[i]}.{position}")
+            labels.append(f"{k}.{rows[i]}.{position}")
     if fmt == "text":
-        lines = [f"cluster of {C.eqclass} with {len(C)} points"]
-        for i, (label, second) in enumerate(zip(labels, C.second_proximities)):
+        lines = [f"cluster of {C.eqclass} with {size} points"]
+        for i, (label, second) in enumerate(zip(labels, seconds)):
             if second is None:
-                lines.append(f"{label}  v={C.values[i]}  free")
+                lines.append(f"{label}  v={values[i]}  free")
             else:
                 lines.append(
-                    f"{label}  v={C.values[i]}  satellite  "
+                    f"{label}  v={values[i]}  satellite  "
                     f"prox({labels[i - 1]}, {labels[second]})"
                 )
         return "\n".join(lines) + "\n"
     if fmt == "dot":
         lines = ["digraph enriques {", "  rankdir=LR;", '  node [shape=circle];']
         for i, label in enumerate(labels):
-            lines.append(f'  n{i} [label="{label}\\nv={C.values[i]}"];')
-        for i, second in enumerate(C.second_proximities):
+            lines.append(f'  n{i} [label="{label}\\nv={values[i]}"];')
+        for i, second in enumerate(seconds):
             if i:
                 curved = "true" if second is None else "false"
                 lines.append(f"  n{i - 1} -> n{i} [curved={curved}];")

@@ -6,9 +6,9 @@ expansion of (m_k - m_{k-1})/e_{k-1}: every even index 2i contributes
 h_{2i} equisingular branches whose invariants come from the convergent
 at index 2i-1.  Branches are represented by that convergent, a raw
 exponent tuple, and the canonical class of the tuple.  Their
-multiplicity traces are read off the same Euclid rows that shape the
-curve's cluster, so this module never builds a cluster; the two meet
-in the Noether oracle of intersect.
+multiplicity traces are runs over the same even-normalized ladders that
+segment the curve's cluster, so this module never builds a cluster; the
+two meet in the Noether oracle of intersect.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ __all__ = [
     "PolarBranch",
     "PolarDecomposition",
     "PolarPackage",
+    "Trace",
     "branch_count",
     "branch_trace",
     "decompose",
@@ -113,6 +114,14 @@ class PackageSummary(NamedTuple):
     multiplicity: int
     quotient: Fraction
     branches: int
+
+
+class Trace(NamedTuple):
+    """Multiplicities of a germ along the cluster as runs: ``counts[i]``
+    points of multiplicity ``values[i]`` on the cluster's segment i."""
+
+    values: tuple[int, ...]
+    counts: tuple[int, ...]
 
 
 @lru_cache(maxsize=512)
@@ -204,40 +213,44 @@ def package_summary(E: EqClass) -> tuple[PackageSummary, ...]:
 
 
 @lru_cache(maxsize=4096)
-def branch_trace(E: EqClass, b: PolarBranch) -> tuple[int, ...]:
-    """Multiplicities of one polar branch along the curve's cluster,
-    read off the Euclid rows and ending at the branch's last point.
+def branch_trace(E: EqClass, b: PolarBranch) -> Trace:
+    """Multiplicities of one polar branch along the curve's cluster, as
+    runs over the segments of the packages' ladders, ending at the
+    branch's last point.
 
     Through blocks 1..k-1 of b's package k the branch follows the curve
-    scaled by p/e_{k-1}: row a of block j repeats its divisor h_a times,
-    and each row's division is checked exact.  Through block k it walks
-    the remainder recurrence of (q, p) down the rows 0..2i-1 of its
-    ladder; points beyond carry 0, which noether_sum implies.  In the
-    gap-below-e case row 0 is empty and the walk's first value p must
-    equal the trace at the previous block's terminal.
+    scaled by p/e_{k-1}: each segment of block j carries its Euclid
+    row's divisor (the terminal split off an odd last row keeps its
+    row's), and each division is checked exact.  Through block k it
+    walks the remainder recurrence of (q, p) down the segments 0..2i-1
+    of its ladder; the cluster's later segments are absent, and
+    noether_sum reads them as 0.  In the gap-below-e case segment 0 is
+    empty and the walk's first value p must equal the trace at the
+    previous block's terminal.
     """
     k = b.package
-    hn = require_member(E, b).packages[k - 1].ladder[: 2 * b.depth]
+    packages = require_member(E, b).packages
     e_prev = E.gcds[k - 1]
-    trace: list[int] = []
-    for j in range(1, k):
-        exp = block_expansion(E, j)
-        for h, v in zip(exp.quotients, exp.row_values()):
+    values: list[int] = []
+    counts: list[int] = []
+    for pkg in packages[: k - 1]:
+        divisors = block_expansion(E, pkg.index).row_values()
+        for v in (divisors + divisors[-1:])[: len(pkg.ladder)]:
             scaled, rem = divmod(v * b.p, e_prev)
             if rem:
                 raise TheoremViolation(
-                    f"non-integral scaled multiplicity in block {j} of {E}"
+                    f"non-integral scaled multiplicity in block {pkg.index} of {E}"
                 )
-            trace += [scaled] * h
+            values.append(scaled)
+        counts += pkg.ladder
+    ladder = packages[k - 1].ladder[: 2 * b.depth]
     try:
-        walk = forced_remainders(hn, b.q, b.p)
+        walk = forced_remainders(ladder, b.q, b.p)
     except ValueError as exc:
         raise TheoremViolation(f"{b} of {E}: {exc}") from exc
-    if b.starts_at_terminal and trace[-1] != walk[0]:
+    if b.starts_at_terminal and values[-1] != walk[0]:
         raise TheoremViolation(
             f"{b} of {E}: chain anchor value {walk[0]} != "
-            f"terminal trace {trace[-1]}"
+            f"terminal trace {values[-1]}"
         )
-    for h, w in zip(hn, walk):
-        trace += [w] * h
-    return tuple(trace)
+    return Trace((*values, *walk), (*counts, *ladder))

@@ -22,6 +22,7 @@ from typing import Callable
 from .cluster import check_proximity, noether_sum, polar_cluster, singularity_cluster
 from .decompose import (
     PolarBranch,
+    Trace,
     branch_trace,
     decompose,
     package_summary,
@@ -67,6 +68,12 @@ def pair_intersection(E: EqClass, b1: PolarBranch, b2: PolarBranch) -> int:
     """
     require_member(E, b1)
     require_member(E, b2)
+    return _pair_intersection(E, b1, b2)
+
+
+def _pair_intersection(E: EqClass, b1: PolarBranch, b2: PolarBranch) -> int:
+    """pair_intersection for two branches already known to come from
+    decompose(E)."""
     if b1.package == b2.package:
         k = b1.package
         lo, hi = (b1, b2) if b1.depth <= b2.depth else (b2, b1)
@@ -91,8 +98,8 @@ def oracle_pair_intersection(E: EqClass, b1: PolarBranch, b2: PolarBranch) -> in
     """The same number by Noether's formula on the branch traces.
 
     No shared-prefix bookkeeping is needed: each trace ends at the
-    branch's last point and noether_sum reads the points beyond as 0,
-    so the pointwise product cuts the sum to the common part.
+    branch's last segment and noether_sum reads the segments beyond as
+    0, so the product of aligned runs cuts the sum to the common part.
     branch_trace checks that both branches belong to E.
     """
     return noether_sum(branch_trace(E, b1), branch_trace(E, b2))
@@ -145,20 +152,22 @@ def intersection_report(E: EqClass) -> IntersectionReport:
 def _checked_report(
     E: EqClass,
     branches: tuple[PolarBranch, ...],
-    traces: list[tuple[int, ...]],
+    traces: list[Trace],
     fail: Callable[[str, str], None],
 ) -> IntersectionReport:
     """The one closed-form-vs-Noether kernel behind intersection_report
     and the sweep.  Each mismatch goes to ``fail(check, message)`` under
     the check name 'pair_oracle', 'branch_vs_curve' or 'grand_total';
     the closed-form values are kept whether or not ``fail`` returns.
+    The branches are decompose(E)'s own, so pairs skip require_member.
     """
-    curve = singularity_cluster(E).values
+    cluster = singularity_cluster(E)
+    curve = (cluster.runs, cluster.counts)
     size = len(branches)
     rows = [[0] * size for _ in range(size)]
     for a in range(size):
         for c in range(a + 1, size):
-            closed = pair_intersection(E, branches[a], branches[c])
+            closed = _pair_intersection(E, branches[a], branches[c])
             oracle = noether_sum(traces[a], traces[c])
             if closed != oracle:
                 fail(
@@ -265,7 +274,7 @@ def _verify_one(E: EqClass, report: SweepReport) -> None:
     size = len(curve)
     report.points += size
 
-    if polar.second_proximities is not curve.second_proximities:
+    if polar.counts is not curve.counts or polar.steps is not curve.steps:
         report.record("support", f"{E}: polar support rebuilt, not shared")
     prox = check_proximity(curve)
     if prox.deficits or prox.strict != (size - 1,):
@@ -275,7 +284,7 @@ def _verify_one(E: EqClass, report: SweepReport) -> None:
         )
     if not check_proximity(polar).ok:
         report.record("polar_proximity", f"{E}: polar valuations inconsistent")
-    sq = sum(v * v for v in curve.values)
+    sq = sum(h * v * v for v, h in zip(curve.runs, curve.counts))
     if sq != scaled_polar_quotient(E, E.genus):
         report.record("value_square_sum", f"{E}: sum v^2 = {sq}")
 
@@ -289,13 +298,16 @@ def _verify_one(E: EqClass, report: SweepReport) -> None:
     report.pairs += len(branches) * (len(branches) - 1) // 2
     traces = [branch_trace(E, b) for b in branches]
 
-    aggregate = [0] * size
+    aggregate = [0] * len(polar.runs)
     for tr in traces:
-        for i, v in enumerate(tr):
+        if tr.counts != polar.counts[: len(tr.counts)]:
+            report.record("sharp_pass", f"{E}: trace segments {tr.counts}")
+            continue
+        for i, v in enumerate(tr.values):
             aggregate[i] += v
-    if tuple(aggregate) != polar.values:
+    if tuple(aggregate) != polar.runs:
         report.record(
-            "sharp_pass", f"{E}: trace sum {tuple(aggregate)} != {polar.values}"
+            "sharp_pass", f"{E}: trace sum {tuple(aggregate)} != {polar.runs}"
         )
 
     checked = _checked_report(E, branches, traces, report.record)

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from polarfactor.cli import build_parser, main, parse_class_spec
+from polarfactor.cluster import singularity_cluster
 from polarfactor.eqclass import InvalidClassError, validate
 
 
@@ -104,6 +105,20 @@ def test_enriques_text_and_polar(capsys):
     with pytest.raises(SystemExit) as exc:
         run(capsys, "enriques", "2:3", "--which", "polar")
     assert exc.value.code == 2 and "--which" in capsys.readouterr().err
+
+
+def test_a_large_exponent_is_answered_from_its_rows(capsys):
+    # 2:1000000001 has 500000002 cluster points on three runs: decompose
+    # works on the runs, and enriques refuses to list the points.
+    code, out, _ = run(capsys, "decompose", "2:1000000001", "--json")
+    assert code == 0
+    assert json.loads(out)["intersections"]["total"] == 1000000001  # mu + n - 1
+    C = singularity_cluster(validate(2, [1000000001]))
+    assert C.counts == (500000000, 1, 1) and len(C) == 500000002
+    for extra in ((), ("--polar", "--dot")):
+        code, out, err = run(capsys, "enriques", "2:1000000001", *extra)
+        assert code == 2 and out == ""
+        assert err.startswith("error: K(2;1000000001) has 500000002 cluster points")
 
 
 def test_enriques_dot(capsys):

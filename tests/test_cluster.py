@@ -1,7 +1,10 @@
 """Cluster construction, polar valuations, proximity, and rendering."""
 
+import itertools
+
 import pytest
 
+from polarfactor import cluster
 from polarfactor.cluster import (
     check_proximity,
     noether_sum,
@@ -9,7 +12,100 @@ from polarfactor.cluster import (
     render,
     singularity_cluster,
 )
-from polarfactor.eqclass import enumerate_classes, scaled_polar_quotient, validate
+from polarfactor.decompose import branch_trace, decompose
+from polarfactor.eqclass import (
+    TheoremViolation,
+    block_expansion,
+    enumerate_classes,
+    scaled_polar_quotient,
+    validate,
+)
+
+
+# Per-point reference implementations: the cluster one point at a time
+# on the raw Euclid rows, the polar rule with its terminal override,
+# proximity sums over every point, and the pointwise Noether sum.
+
+
+def reference_cluster(E):
+    """(values, rows, second proximities, block spans), one entry per point."""
+    values, rows, seconds, spans = [], [], [], []
+    for k in range(1, E.genus + 1):
+        exp = block_expansion(E, k)
+        start = len(values)
+        ends = [None, None]
+        for a, (h, v) in enumerate(zip(exp.quotients, exp.row_values())):
+            values += [v] * h
+            rows += [a] * h
+            if h:
+                seconds += [ends[a]] + [ends[a + 1]] * (h - 1)
+            ends.append(len(values) - 1)
+        spans.append((start, len(values)))
+    return tuple(values), tuple(rows), tuple(seconds), tuple(spans)
+
+
+def reference_polar_values(E):
+    values, rows, _, spans = reference_cluster(E)
+    polar = [v if a % 2 else v - 1 for v, a in zip(values, rows)]
+    for _, end in spans:
+        polar[end - 1] = values[end - 1] - 1
+    return tuple(polar)
+
+
+def reference_proximity(values, seconds):
+    sums = [*values[1:], 0]
+    for v, target in zip(values, seconds):
+        if target is not None:
+            sums[target] += v
+    deficits = tuple(i for i, v in enumerate(values) if v < sums[i])
+    strict = tuple(i for i, v in enumerate(values) if v > sums[i])
+    return deficits, strict
+
+
+def reference_noether_sum(trace_a, trace_b):
+    return sum(x * y for x, y in zip(trace_a, trace_b))
+
+
+def expand(trace):
+    values, counts = trace
+    return tuple(v for v, h in zip(values, counts) for _ in range(h))
+
+
+LONG_CLASSES = [validate(2, [2001]), validate(6, [14, 1501])]
+
+
+def test_runs_expand_to_the_per_point_reference():
+    for E in itertools.chain(enumerate_classes(10, 60), LONG_CLASSES):
+        values, rows, seconds, spans = reference_cluster(E)
+        curve, polar = singularity_cluster(E), polar_cluster(E)
+        assert (curve.values, curve.rows, curve.second_proximities) == (
+            values, rows, seconds,
+        ), E
+        assert curve.block_spans == spans and len(curve) == len(values), E
+        assert polar.values == reference_polar_values(E), E
+        for C in (curve, polar):
+            report = check_proximity(C)
+            assert (report.deficits, report.strict) == reference_proximity(
+                C.values, seconds
+            ), E
+        # one run per Euclid row, plus at most a split-off terminal per block
+        assert len(curve.runs) <= sum(
+            len(block_expansion(E, k).quotients) + 1 for k in range(1, E.genus + 1)
+        ), E
+
+
+def test_run_noether_sums_match_the_pointwise_reference():
+    for E in itertools.chain(enumerate_classes(10, 60), LONG_CLASSES):
+        curve = singularity_cluster(E)
+        traces = [branch_trace(E, b) for b in decompose(E).branches()]
+        for tr in traces:
+            assert noether_sum(tr, (curve.runs, curve.counts)) == (
+                reference_noether_sum(expand(tr), curve.values)
+            ), E
+        for a, b in itertools.combinations(traces, 2):
+            assert noether_sum(a, b) == reference_noether_sum(
+                expand(a), expand(b)
+            ), E
 
 
 def test_curve_valuations_examples():
@@ -43,8 +139,15 @@ def test_polar_root_value_is_n_minus_one():
 def test_polar_shares_the_support_tuple():
     E = validate(8, [12, 14, 15])
     curve, polar = singularity_cluster(E), polar_cluster(E)
-    assert polar.rows is curve.rows
-    assert polar.second_proximities is curve.second_proximities
+    # one segment per entry of each block's even-normalized ladder; an
+    # empty row 0 opens blocks 2 and 3, and each odd last row is split
+    assert curve.counts == (1, 1, 1, 0, 1, 1, 0, 1, 1)
+    assert curve.steps == (0, 1, 2) * 3
+    assert curve.runs == (8, 4, 4, 4, 2, 2, 2, 1, 1)
+    # v - 1 on even steps, v on odd ones
+    assert polar.runs == (7, 4, 3, 3, 2, 1, 1, 1, 0)
+    assert polar.counts is curve.counts
+    assert polar.steps is curve.steps
     assert polar.block_spans == curve.block_spans
 
 
@@ -104,11 +207,17 @@ def test_squared_values_sum_to_scaled_quotient():
 
 
 def test_noether_sum():
-    assert noether_sum((2, 1, 1), (1, 1, 0)) == 3
-    assert noether_sum((2, 1, 1), (2, 1, 1)) == 6
-    assert noether_sum((), (1, 2)) == 0
-    # shorter trace acts as zero-padded
-    assert noether_sum((3, 2), (1, 1, 5)) == 5
+    # traces are (values, counts) runs over the same segments
+    assert noether_sum(((2, 1, 1), (1, 1, 1)), ((1, 1, 0), (1, 1, 1))) == 3
+    assert noether_sum(((2, 1, 1), (1, 1, 1)), ((2, 1, 1), (1, 1, 1))) == 6
+    assert noether_sum(((), ()), ((1, 2), (1, 1))) == 0
+    # a shorter trace acts as zero-padded
+    assert noether_sum(((3, 2), (1, 1)), ((1, 1, 5), (1, 1, 1))) == 5
+    # a run of h points counts h times; an empty segment counts nothing
+    assert noether_sum(((5, 2, 1), (1, 2, 2)), ((2, 1), (1, 2))) == 14
+    assert noether_sum(((4, 3, 2), (1, 0, 2)), ((1, 9, 1), (1, 0, 2))) == 8
+    with pytest.raises(TheoremViolation, match="3 points against 2"):
+        noether_sum(((2, 1), (1, 3)), ((1, 1), (1, 2)))
 
 
 def test_render_text():
@@ -192,6 +301,16 @@ def test_render_dot():
         "  n6 -> n4 [style=dotted, constraint=false];\n"
         "}\n"
     )
+
+
+def test_render_refuses_above_the_point_bound(monkeypatch):
+    C = singularity_cluster(validate(5, [7]))
+    monkeypatch.setattr(cluster, "MAX_RENDER_POINTS", len(C))
+    assert render(C).startswith("cluster of K(5;7) with 5 points\n")
+    monkeypatch.setattr(cluster, "MAX_RENDER_POINTS", len(C) - 1)
+    for fmt in ("text", "dot"):
+        with pytest.raises(ValueError, match="5 cluster points"):
+            render(C, fmt)
 
 
 def test_render_rejects_unknown_format():

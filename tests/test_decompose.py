@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from polarfactor.decompose import (
+    Trace,
     branch_count,
     branch_trace,
     decompose,
@@ -112,25 +113,45 @@ def test_require_member_rejects_foreign_branches():
     assert require_member(E8, native) is decompose(E8)
 
 
+def expand(trace):
+    return tuple(v for v, h in zip(trace.values, trace.counts) for _ in range(h))
+
+
 def test_branch_traces_worked_example():
     E = validate(8, [12, 14, 15])
     b1, b2, b3 = decompose(E).branches()
-    assert branch_trace(E, b1) == (1, 1)
-    assert branch_trace(E, b2) == (2, 1, 1, 1)
-    assert branch_trace(E, b3) == (4, 2, 2, 1, 1, 1)
+    # segments of the ladders (1, 1, 1), (0, 1, 1), (0, 1, 1); blocks 2
+    # and 3 open with an empty row 0 that carries the terminal's value
+    assert branch_trace(E, b1) == Trace((1, 1), (1, 1))
+    assert branch_trace(E, b2) == Trace((2, 1, 1, 1, 1), (1, 1, 1, 0, 1))
+    assert branch_trace(E, b3) == Trace(
+        (4, 2, 2, 2, 1, 1, 1, 1), (1, 1, 1, 0, 1, 1, 0, 1)
+    )
+    assert [expand(branch_trace(E, b)) for b in (b1, b2, b3)] == [
+        (1, 1),
+        (2, 1, 1, 1),
+        (4, 2, 2, 1, 1, 1),
+    ]
 
 
 def test_branch_traces_more_examples():
     E = validate(5, [7])
     for b in decompose(E).branches():
-        assert branch_trace(E, b) == (2, 1, 1)
+        assert branch_trace(E, b) == Trace((2, 1), (1, 2))
+        assert expand(branch_trace(E, b)) == (2, 1, 1)
     E = validate(2, [3])
     (b,) = decompose(E).branches()
-    assert branch_trace(E, b) == (1, 1)
+    assert branch_trace(E, b) == Trace((1, 1), (1, 1))
     E = validate(8, [19])
     shallow, deep = decompose(E).branches()
-    assert branch_trace(E, shallow) == (2, 2, 1, 1)
-    assert branch_trace(E, deep) == (5, 5, 2, 2, 1, 1)
+    assert branch_trace(E, shallow) == Trace((2, 1), (2, 2))
+    assert branch_trace(E, deep) == Trace((5, 2, 1, 1), (2, 2, 1, 1))
+    assert expand(branch_trace(E, shallow)) == (2, 2, 1, 1)
+    assert expand(branch_trace(E, deep)) == (5, 5, 2, 2, 1, 1)
+    # a long row is one run: 2:2001 has the ladder (1000, 1, 1)
+    E = validate(2, [2001])
+    (b,) = decompose(E).branches()
+    assert branch_trace(E, b) == Trace((1, 1), (1000, 1))
 
 
 def test_gap_below_walk_must_start_at_the_terminal_trace(monkeypatch):
@@ -156,4 +177,7 @@ def test_trace_first_entry_is_branch_multiplicity():
     for n, ms in [(8, [12, 14, 15]), (10, [15, 22]), (8, [19]), (6, [7])]:
         E = validate(n, ms)
         for b in decompose(E).branches():
-            assert branch_trace(E, b)[0] == b.multiplicity
+            # block 1 always has a row 0, so the first run starts at the root
+            trace = branch_trace(E, b)
+            assert trace.counts[0] >= 1
+            assert trace.values[0] == b.multiplicity

@@ -138,13 +138,14 @@ def test_sweep_report_failure_bookkeeping():
 @pytest.mark.parametrize(
     "closed_form, checks",
     [
-        ("pair_intersection", {"pair_oracle"}),
+        ("_pair_intersection", {"pair_oracle"}),
         ("branch_vs_curve", {"branch_vs_curve", "grand_total"}),
     ],
 )
 def test_an_off_by_one_closed_form_is_caught(monkeypatch, closed_form, checks):
     # Both entry points must notice a wrong closed form, under the check
-    # names the acceptance criteria look up.
+    # names the acceptance criteria look up.  The pair loop calls the
+    # unchecked _pair_intersection that pair_intersection wraps.
     right = getattr(intersect, closed_form)
     monkeypatch.setattr(intersect, closed_form, lambda E, *bs: right(E, *bs) + 1)
     report = verify_classes(4, 9)
@@ -152,6 +153,43 @@ def test_an_off_by_one_closed_form_is_caught(monkeypatch, closed_form, checks):
     assert "internal" not in report.failures
     with pytest.raises(TheoremViolation):
         intersection_report(validate(8, [12, 14, 15]))
+
+
+def test_the_kernel_checks_each_branch_once_per_entry_point(monkeypatch):
+    # branch_trace and branch_vs_curve check each branch; the pair loop
+    # trusts decompose(E)'s own branches.
+    module = sys.modules["polarfactor.decompose"]
+    right = module.require_member
+    calls = []
+
+    def counted(E, b):
+        calls.append(b)
+        return right(E, b)
+
+    monkeypatch.setattr(module, "require_member", counted)
+    monkeypatch.setattr(intersect, "require_member", counted)
+    branch_trace.cache_clear()
+    E = validate(10, [15, 22])
+    rep = intersection_report(E)
+    assert len(rep.branches) == 3
+    assert len(calls) == 2 * len(rep.branches)
+
+
+def test_a_trace_count_off_by_one_is_caught(monkeypatch):
+    # A trace cut into other segments than the cluster's must not be
+    # summed: noether_sum raises, and the sweep records it.
+    right = intersect.branch_trace
+
+    def shifted(E, b):
+        trace = right(E, b)
+        return trace._replace(counts=(*trace.counts[:-1], trace.counts[-1] + 1))
+
+    monkeypatch.setattr(intersect, "branch_trace", shifted)
+    with pytest.raises(TheoremViolation, match="points against"):
+        intersection_report(validate(8, [12, 14, 15]))
+    report = verify_classes(4, 9)
+    assert {"sharp_pass", "internal"} <= set(report.failures)
+    assert all("points against" in ex for ex in report.examples["internal"])
 
 
 def test_an_inexact_closed_form_division_names_the_class(monkeypatch):
