@@ -14,9 +14,10 @@ import sys
 from functools import cache
 from typing import Sequence
 
+from . import cluster
 from .classify import scan
 from .cluster import polar_cluster, render, singularity_cluster
-from .decompose import PolarBranch, decompose
+from .decompose import PolarBranch, decompose, package_summary
 from .eqclass import EqClass, InvalidClassError, TheoremViolation, validate
 from .intersect import intersection_report, verify_classes
 from .oracle_series import verify_class
@@ -140,6 +141,20 @@ def _print_decomposition_text(E: EqClass, matrix_only: bool) -> None:
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
     E = parse_class_spec(args.cls)
+    # The branch multiplicities sum to n - 1, so n - 1 bounds the branch
+    # count.  Past that, the count comes from the closed forms: decompose
+    # would build every branch first.
+    size = E.multiplicity - 1
+    if size * (size - 1) // 2 > cluster.MAX_RENDER_POINTS:
+        size = sum(s.branches for s in package_summary(E))
+        pairs = size * (size - 1) // 2
+        if pairs > cluster.MAX_RENDER_POINTS:
+            print(
+                f"error: {E} has {pairs} branch pairs; listing stops at "
+                f"{cluster.MAX_RENDER_POINTS}",
+                file=sys.stderr,
+            )
+            return 2
     if args.json:
         payload = (
             _intersections_payload(E)

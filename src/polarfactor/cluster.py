@@ -41,7 +41,8 @@ __all__ = [
 ]
 
 # render is the only code that expands runs into points; above this
-# many points it refuses instead of building the listing.
+# many points it refuses instead of building the listing.  The CLI's
+# decompose and matrix refuse above this many branch pairs.
 MAX_RENDER_POINTS = 100_000
 
 

@@ -17,6 +17,8 @@ engine behind the CLI's cluster verification mode.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import attrgetter
 from typing import Callable
 
 from .cluster import check_proximity, noether_sum, polar_cluster, singularity_cluster
@@ -145,47 +147,85 @@ def intersection_report(E: EqClass) -> IntersectionReport:
     raises TheoremViolation.
     """
     branches = tuple(decompose(E).branches())
-    traces = [branch_trace(E, b) for b in branches]
-    return _checked_report(E, branches, traces, _raise)
+    groups = _copy_groups(branches)
+    traces = [branch_trace(E, branches[g.start]) for g in groups]
+    return _checked_report(E, branches, groups, traces, _raise)
+
+
+def _copy_groups(branches: tuple[PolarBranch, ...]) -> list[range]:
+    """Index ranges of the maximal runs of consecutive branches with
+    equal (package, depth, p, q).  The closed forms and branch_trace
+    read no other field but starts_at_terminal, which is set per
+    package, so one member stands for its whole run."""
+    groups = []
+    start = 0
+    for _, run in groupby(branches, attrgetter("package", "depth", "p", "q")):
+        stop = start + sum(1 for _ in run)
+        groups.append(range(start, stop))
+        start = stop
+    return groups
 
 
 def _checked_report(
     E: EqClass,
     branches: tuple[PolarBranch, ...],
+    groups: list[range],
     traces: list[Trace],
     fail: Callable[[str, str], None],
 ) -> IntersectionReport:
     """The one closed-form-vs-Noether kernel behind intersection_report
-    and the sweep.  Each mismatch goes to ``fail(check, message)`` under
-    the check name 'pair_oracle', 'branch_vs_curve' or 'grand_total';
-    the closed-form values are kept whether or not ``fail`` returns.
-    The branches are decompose(E)'s own, so pairs skip require_member.
+    and the sweep.  ``groups`` are the _copy_groups of ``branches`` and
+    ``traces`` holds one trace per group.  Each distinct pair of groups
+    (a group with itself when it has two or more copies) gets one closed
+    form and one Noether sum, and each group one I(b, f) check; the
+    matrix and with_curve repeat those values over the copies.  Each
+    mismatch still goes to ``fail(check, message)`` once per branch pair
+    or branch, under the check name 'pair_oracle', 'branch_vs_curve' or
+    'grand_total'; the closed-form values are kept whether or not
+    ``fail`` returns.  The branches are decompose(E)'s own, so pairs
+    skip require_member.
     """
     cluster = singularity_cluster(E)
     curve = (cluster.runs, cluster.counts)
-    size = len(branches)
-    rows = [[0] * size for _ in range(size)]
-    for a in range(size):
-        for c in range(a + 1, size):
-            closed = _pair_intersection(E, branches[a], branches[c])
-            oracle = noether_sum(traces[a], traces[c])
-            if closed != oracle:
-                fail(
-                    "pair_oracle",
-                    f"pair ({branches[a]}, {branches[c]}) of {E}: "
-                    f"closed form {closed} != Noether oracle {oracle}",
-                )
-            rows[a][c] = rows[c][a] = closed
+    closed = [[0] * len(groups) for _ in groups]
+    oracle = [[0] * len(groups) for _ in groups]
+    for g, group in enumerate(groups):
+        for a in group:
+            for h in range(g, len(groups)):
+                later = range(max(a + 1, groups[h].start), groups[h].stop)
+                if not later:
+                    continue
+                if a == group.start:
+                    closed[g][h] = closed[h][g] = _pair_intersection(
+                        E, branches[a], branches[later.start]
+                    )
+                    oracle[g][h] = noether_sum(traces[g], traces[h])
+                if closed[g][h] != oracle[g][h]:
+                    for c in later:
+                        fail(
+                            "pair_oracle",
+                            f"pair ({branches[a]}, {branches[c]}) of {E}: "
+                            f"closed form {closed[g][h]} != "
+                            f"Noether oracle {oracle[g][h]}",
+                        )
+    rows = []
+    for g, group in enumerate(groups):
+        row = []
+        for h, other in enumerate(groups):
+            row += [closed[g][h]] * len(other)
+        rows += [(*row[:a], 0, *row[a + 1 :]) for a in group]
     with_curve = []
-    for b, tr in zip(branches, traces):
-        closed = branch_vs_curve(E, b)
-        oracle = noether_sum(tr, curve)
-        if closed != oracle:
-            fail(
-                "branch_vs_curve",
-                f"{b} against {E}: closed form {closed} != oracle {oracle}",
-            )
-        with_curve.append(closed)
+    for group, tr in zip(groups, traces):
+        value = branch_vs_curve(E, branches[group.start])
+        expected = noether_sum(tr, curve)
+        for a in group:
+            if value != expected:
+                fail(
+                    "branch_vs_curve",
+                    f"{branches[a]} against {E}: "
+                    f"closed form {value} != oracle {expected}",
+                )
+            with_curve.append(value)
     total = sum(with_curve)
     if total != E.milnor + E.multiplicity - 1:
         fail(
@@ -193,9 +233,7 @@ def _checked_report(
             f"I(f, P(f)) = {total} for {E}, expected mu + n - 1 = "
             f"{E.milnor + E.multiplicity - 1}",
         )
-    return IntersectionReport(
-        E, branches, tuple(map(tuple, rows)), tuple(with_curve), total
-    )
+    return IntersectionReport(E, branches, tuple(rows), tuple(with_curve), total)
 
 
 @dataclass
@@ -296,21 +334,23 @@ def _verify_one(E: EqClass, report: SweepReport) -> None:
     branches = tuple(D.branches())
     report.branches += len(branches)
     report.pairs += len(branches) * (len(branches) - 1) // 2
-    traces = [branch_trace(E, b) for b in branches]
+    groups = _copy_groups(branches)
+    traces = [branch_trace(E, branches[g.start]) for g in groups]
 
     aggregate = [0] * len(polar.runs)
-    for tr in traces:
+    for group, tr in zip(groups, traces):
         if tr.counts != polar.counts[: len(tr.counts)]:
-            report.record("sharp_pass", f"{E}: trace segments {tr.counts}")
+            for _ in group:
+                report.record("sharp_pass", f"{E}: trace segments {tr.counts}")
             continue
         for i, v in enumerate(tr.values):
-            aggregate[i] += v
+            aggregate[i] += len(group) * v
     if tuple(aggregate) != polar.runs:
         report.record(
             "sharp_pass", f"{E}: trace sum {tuple(aggregate)} != {polar.runs}"
         )
 
-    checked = _checked_report(E, branches, traces, report.record)
+    checked = _checked_report(E, branches, groups, traces, report.record)
     for b, closed in zip(branches, checked.with_curve):
         expected_genus = b.package if b.p > 1 else b.package - 1
         if b.genus != expected_genus:

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from polarfactor import cluster
 from polarfactor.cli import build_parser, main, parse_class_spec
 from polarfactor.cluster import singularity_cluster
 from polarfactor.eqclass import InvalidClassError, validate
@@ -119,6 +120,29 @@ def test_a_large_exponent_is_answered_from_its_rows(capsys):
         code, out, err = run(capsys, "enriques", "2:1000000001", *extra)
         assert code == 2 and out == ""
         assert err.startswith("error: K(2;1000000001) has 500000002 cluster points")
+
+
+def test_pair_listings_refuse_above_the_bound(capsys, monkeypatch):
+    # K(5;9) has 4 polar branches, so 6 pairs; the pair listing shares
+    # the point listing's bound and is refused before it is built.
+    # K(8;12,14,15) has 3 branches, far fewer than its n - 1 = 7 bound.
+    commands = [
+        ("decompose", "5:9"),
+        ("decompose", "5:9", "--json"),
+        ("matrix", "5:9"),
+        ("matrix", "5:9", "--json"),
+    ]
+    monkeypatch.setattr(cluster, "MAX_RENDER_POINTS", 6)
+    for argv in commands:
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and "36" in out  # the total, mu + n - 1
+    monkeypatch.setattr(cluster, "MAX_RENDER_POINTS", 5)
+    for argv in commands:
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == "error: K(5;9) has 6 branch pairs; listing stops at 5\n"
+    code, out, _ = run(capsys, "matrix", "8:12,14,15")
+    assert code == 0 and "total curve-polar intersection = 91" in out
 
 
 def test_enriques_dot(capsys):

@@ -7,6 +7,7 @@ import pytest
 
 from polarfactor import intersect
 from polarfactor.cli import main
+from polarfactor.cluster import noether_sum, singularity_cluster
 from polarfactor.decompose import branch_trace, decompose
 from polarfactor.eqclass import TheoremViolation, enumerate_classes, validate
 from polarfactor.intersect import (
@@ -109,6 +110,35 @@ def test_intersection_report_shape_and_totals():
                     assert rep.matrix[a][b] > 0
 
 
+def per_branch_report(E):
+    """Reference: the kernel as a loop over every branch pair and every
+    branch, through the public closed forms and the Noether oracle."""
+    branches = tuple(decompose(E).branches())
+    size = len(branches)
+    matrix = [[0] * size for _ in range(size)]
+    for a, c in itertools.combinations(range(size), 2):
+        closed = pair_intersection(E, branches[a], branches[c])
+        assert closed == oracle_pair_intersection(E, branches[a], branches[c])
+        matrix[a][c] = matrix[c][a] = closed
+    C = singularity_cluster(E)
+    with_curve = tuple(branch_vs_curve(E, b) for b in branches)
+    for b, closed in zip(branches, with_curve):
+        assert closed == noether_sum(branch_trace(E, b), (C.runs, C.counts))
+    return tuple(map(tuple, matrix)), with_curve, sum(with_curve)
+
+
+def test_copy_groups_match_the_per_branch_reference():
+    classes = [
+        *enumerate_classes(10, 60),
+        *(validate(n, [k * n - 1]) for n in range(16, 41) for k in (2, 4)),
+        validate(32, [48, 56, 60, 62, 63]),
+        validate(32, [48, 56, 60, 62, 65]),
+    ]
+    for E in classes:
+        rep = intersection_report(E)
+        assert (rep.matrix, rep.with_curve, rep.total) == per_branch_report(E)
+
+
 def test_verify_classes_small_bound_all_pass():
     for box, counts in [
         ((8, 40), (569, 1410, 1306, 6514)),
@@ -155,9 +185,30 @@ def test_an_off_by_one_closed_form_is_caught(monkeypatch, closed_form, checks):
         intersection_report(validate(8, [12, 14, 15]))
 
 
+@pytest.mark.parametrize(
+    "closed_form, check, unit",
+    [
+        ("_pair_intersection", "pair_oracle", "pairs"),
+        ("branch_vs_curve", "branch_vs_curve", "branches"),
+    ],
+)
+def test_failures_are_counted_per_branch_pair_not_per_copy_group(
+    monkeypatch, closed_form, check, unit
+):
+    # The box (4, 9) holds K(4;7), whose 3 polar branches are copies of
+    # one branch: the kernel checks them once, but every pair and every
+    # branch that the wrong value reaches is recorded.
+    groups = intersect._copy_groups(tuple(decompose(validate(4, [7])).branches()))
+    assert groups == [range(0, 3)]
+    right = getattr(intersect, closed_form)
+    monkeypatch.setattr(intersect, closed_form, lambda E, *bs: right(E, *bs) + 1)
+    report = verify_classes(4, 9)
+    assert report.failures[check] == getattr(report, unit) > 0
+
+
 def test_the_kernel_checks_each_branch_once_per_entry_point(monkeypatch):
-    # branch_trace and branch_vs_curve check each branch; the pair loop
-    # trusts decompose(E)'s own branches.
+    # branch_trace and branch_vs_curve each check one branch per copy
+    # group; the pair loop trusts decompose(E)'s own branches.
     module = sys.modules["polarfactor.decompose"]
     right = module.require_member
     calls = []
@@ -168,11 +219,12 @@ def test_the_kernel_checks_each_branch_once_per_entry_point(monkeypatch):
 
     monkeypatch.setattr(module, "require_member", counted)
     monkeypatch.setattr(intersect, "require_member", counted)
-    branch_trace.cache_clear()
-    E = validate(10, [15, 22])
-    rep = intersection_report(E)
-    assert len(rep.branches) == 3
-    assert len(calls) == 2 * len(rep.branches)
+    for (n, ms), branches, groups in [((10, [15, 22]), 3, 2), ((5, [9]), 4, 1)]:
+        branch_trace.cache_clear()
+        calls.clear()
+        rep = intersection_report(validate(n, ms))
+        assert len(rep.branches) == branches
+        assert len(calls) == 2 * groups
 
 
 def test_a_trace_count_off_by_one_is_caught(monkeypatch):
@@ -189,6 +241,9 @@ def test_a_trace_count_off_by_one_is_caught(monkeypatch):
         intersection_report(validate(8, [12, 14, 15]))
     report = verify_classes(4, 9)
     assert {"sharp_pass", "internal"} <= set(report.failures)
+    # one record per branch, copies included, then one per class whose
+    # trace sum is left empty
+    assert report.failures["sharp_pass"] == report.branches + report.classes
     assert all("points against" in ex for ex in report.examples["internal"])
 
 
