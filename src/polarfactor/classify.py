@@ -32,7 +32,7 @@ __all__ = [
 
 
 def max_branch_genus(E: EqClass) -> int:
-    return max(b.genus for b in decompose(E).branches())
+    return max(t.genus for t in decompose(E).types())
 
 
 def genus_drop(E: EqClass) -> bool:

@@ -17,7 +17,7 @@ from typing import Sequence
 from . import cluster
 from .classify import scan
 from .cluster import polar_cluster, render, singularity_cluster
-from .decompose import PolarBranch, decompose, package_summary
+from .decompose import PolarBranch, decompose
 from .eqclass import EqClass, InvalidClassError, TheoremViolation, validate
 from .intersect import intersection_report, verify_classes
 from .oracle_series import verify_class
@@ -97,7 +97,7 @@ def _decompose_payload(E: EqClass) -> dict:
                     "num": pkg.quotient.numerator,
                     "den": pkg.quotient.denominator,
                 },
-                "branches": [_branch_payload(b) for b in pkg.branches],
+                "branches": [_branch_payload(b) for b in pkg.branches()],
             }
             for pkg in decompose(E).packages
         ],
@@ -117,9 +117,9 @@ def _print_decomposition_text(E: EqClass, matrix_only: bool) -> None:
             print(
                 f"package {pkg.index}: multiplicity {pkg.multiplicity}, "
                 f"polar quotient {pkg.quotient}, "
-                f"{len(pkg.branches)} branch(es)"
+                f"{sum(t.copies for t in pkg.types)} branch(es)"
             )
-            for b in pkg.branches:
+            for b in pkg.branches():
                 body = str(b.canonical) if b.canonical is not None else "smooth"
                 print(
                     f"  xi[{b.package},{b.depth},{b.copy}]  {body}  "
@@ -141,20 +141,15 @@ def _print_decomposition_text(E: EqClass, matrix_only: bool) -> None:
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
     E = parse_class_spec(args.cls)
-    # The branch multiplicities sum to n - 1, so n - 1 bounds the branch
-    # count.  Past that, the count comes from the closed forms: decompose
-    # would build every branch first.
-    size = E.multiplicity - 1
-    if size * (size - 1) // 2 > cluster.MAX_RENDER_POINTS:
-        size = sum(s.branches for s in package_summary(E))
-        pairs = size * (size - 1) // 2
-        if pairs > cluster.MAX_RENDER_POINTS:
-            print(
-                f"error: {E} has {pairs} branch pairs; listing stops at "
-                f"{cluster.MAX_RENDER_POINTS}",
-                file=sys.stderr,
-            )
-            return 2
+    size = sum(t.copies for t in decompose(E).types())
+    pairs = size * (size - 1) // 2
+    if pairs > cluster.MAX_RENDER_POINTS:
+        print(
+            f"error: {E} has {pairs} branch pairs; listing stops at "
+            f"{cluster.MAX_RENDER_POINTS}",
+            file=sys.stderr,
+        )
+        return 2
     if args.json:
         payload = (
             _intersections_payload(E)

@@ -4,8 +4,10 @@ The polar of a general member of a class factors into one package per
 characteristic exponent.  Package k is read off the even-normalized
 expansion of (m_k - m_{k-1})/e_{k-1}: every even index 2i contributes
 h_{2i} equisingular branches whose invariants come from the convergent
-at index 2i-1.  Branches are represented by that convergent, a raw
-exponent tuple, and the canonical class of the tuple.  Their
+at index 2i-1.  A package stores one branch type per odd convergent with
+its copy count h_{2i}; only ``branches()`` expands the copies.  Branches
+are represented by that convergent, a raw exponent tuple, and the
+canonical class of the tuple.  Their
 multiplicity traces are runs over the same even-normalized ladders that
 segment the curve's cluster, so this module never builds a cluster; the
 two meet in the Noether oracle of intersect.
@@ -13,7 +15,7 @@ two meet in the Noether oracle of intersect.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, NamedTuple
@@ -47,8 +49,9 @@ class PolarBranch:
     """One branch of the general polar.
 
     (package, depth, copy) identify it: package k, convergent index
-    2*depth - 1, copy counts the h_{2*depth} equisingular branches that
-    share a convergent; ``position`` is its 0-based index in the package.
+    2*depth - 1, copy 1..copies among the ``copies`` = h_{2*depth}
+    equisingular branches that share a convergent.  A package stores
+    only copy 1, as the type of all of them.
     ``starts_at_terminal`` tags the block shape:
     True when m_k - m_{k-1} < e_{k-1}, in which case the branch's chain
     through block k begins at the previous block's terminal point.
@@ -59,7 +62,7 @@ class PolarBranch:
     package: int
     depth: int
     copy: int
-    position: int
+    copies: int
     p: int
     q: int
     starts_at_terminal: bool
@@ -89,14 +92,25 @@ class PolarBranch:
 
 @dataclass(frozen=True, slots=True)
 class PolarPackage:
-    """All branches sharing one polar quotient, with the even-normalized
-    block expansion (``ladder``) that they are read off and their traces walk."""
+    """All branches sharing one polar quotient, as one type per odd
+    convergent (``types[depth - 1]``), with the even-normalized block
+    expansion (``ladder``) that they are read off and their traces walk."""
 
     index: int
-    branches: tuple[PolarBranch, ...]
+    types: tuple[PolarBranch, ...]
     multiplicity: int
     quotient: Fraction
     ladder: tuple[int, ...]
+
+    def branches(self) -> Iterator[PolarBranch]:
+        """Every branch of the package: each type's copies in order."""
+        for t in self.types:
+            yield t
+            for j in range(2, t.copies + 1):
+                yield PolarBranch(
+                    t.package, t.depth, j, t.copies, t.p, t.q,
+                    t.starts_at_terminal, t.exponents, t.canonical,
+                )
 
 
 @dataclass(frozen=True, slots=True)
@@ -104,9 +118,13 @@ class PolarDecomposition:
     eqclass: EqClass
     packages: tuple[PolarPackage, ...]
 
+    def types(self) -> Iterator[PolarBranch]:
+        for pkg in self.packages:
+            yield from pkg.types
+
     def branches(self) -> Iterator[PolarBranch]:
         for pkg in self.packages:
-            yield from pkg.branches
+            yield from pkg.branches()
 
 
 class PackageSummary(NamedTuple):
@@ -139,7 +157,7 @@ def decompose(E: EqClass) -> PolarDecomposition:
         hn = normalize_even(block_expansion(E, k).quotients)
         gap_below = hn[0] == 0
         m_prev = E.exponent(k - 1)
-        branches: list[PolarBranch] = []
+        types: list[PolarBranch] = []
         for i in range(1, len(hn) // 2 + 1):
             p, q = convergent(hn, 2 * i - 1)
             exps = (
@@ -154,11 +172,10 @@ def decompose(E: EqClass) -> PolarDecomposition:
                     canonical = canonicalize_exponents(exps[0], exps[1:])
                 except InvalidClassError as exc:
                     raise TheoremViolation(f"branch {exps} of {E}: {exc}") from exc
-            for j in range(1, hn[2 * i] + 1):
-                branches.append(PolarBranch(
-                    k, i, j, len(branches), p, q, gap_below, exps, canonical
-                ))
-        mult = sum(b.multiplicity for b in branches)
+            types.append(
+                PolarBranch(k, i, 1, hn[2 * i], p, q, gap_below, exps, canonical)
+            )
+        mult = sum(t.copies * t.multiplicity for t in types)
         expected = scale * (E.descents[k - 1] - 1)
         if mult != expected:
             raise TheoremViolation(
@@ -166,7 +183,7 @@ def decompose(E: EqClass) -> PolarDecomposition:
                 f"descent-chain value {expected}"
             )
         quotient = polar_quotient(E, k)
-        packages.append(PolarPackage(k, tuple(branches), mult, quotient, hn))
+        packages.append(PolarPackage(k, tuple(types), mult, quotient, hn))
     total = sum(pkg.multiplicity for pkg in packages)
     if total != n - 1:
         raise TheoremViolation(f"polar of {E} has multiplicity {total} != n - 1")
@@ -178,20 +195,23 @@ def require_member(E: EqClass, b: PolarBranch) -> PolarDecomposition:
 
     Intersection formulas silently produce garbage for a branch of some
     other class, so every entry point that takes (class, branch) pairs
-    funnels through here.  The branch's package and position name the
-    one slot it can occupy.  Returns the decomposition for reuse.
+    funnels through here.  The branch's package and depth name the one
+    type it can be a copy of; a stored type passes by identity.  Returns
+    the decomposition for reuse.
     """
     D = decompose(E)
     if 1 <= b.package <= len(D.packages):
-        branches = D.packages[b.package - 1].branches
-        if 0 <= b.position < len(branches) and branches[b.position] == b:
-            return D
+        types = D.packages[b.package - 1].types
+        if 1 <= b.depth <= len(types):
+            t = types[b.depth - 1]
+            if b is t or 1 <= b.copy <= t.copies and replace(b, copy=1) == t:
+                return D
     raise ValueError(f"{b} was not produced by decompose({E})")
 
 
 def branch_count(E: EqClass, j: int) -> int:
     """Number of branches in package j: sum of the even-index quotients
-    of the normalized block expansion.  Matches len(packages[j-1].branches)."""
+    of the normalized block expansion.  Matches the copies of packages[j-1]."""
     hn = normalize_even(block_expansion(E, j).quotients)
     return sum(hn[a] for a in range(2, len(hn), 2))
 

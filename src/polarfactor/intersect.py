@@ -16,9 +16,7 @@ engine behind the CLI's cluster verification mode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import groupby
-from operator import attrgetter
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from .cluster import check_proximity, noether_sum, polar_cluster, singularity_cluster
@@ -75,7 +73,7 @@ def pair_intersection(E: EqClass, b1: PolarBranch, b2: PolarBranch) -> int:
 
 def _pair_intersection(E: EqClass, b1: PolarBranch, b2: PolarBranch) -> int:
     """pair_intersection for two branches already known to come from
-    decompose(E)."""
+    decompose(E); one type given twice stands for two of its copies."""
     if b1.package == b2.package:
         k = b1.package
         lo, hi = (b1, b2) if b1.depth <= b2.depth else (b2, b1)
@@ -135,7 +133,7 @@ class IntersectionReport:
     total: int
 
 
-def _raise(check: str, message: str) -> None:
+def _raise(check: str, message: str, count: int) -> None:
     raise TheoremViolation(message)
 
 
@@ -144,96 +142,80 @@ def intersection_report(E: EqClass) -> IntersectionReport:
 
     Also cross-checks every I(b, f) against the trace oracle and the
     grand total against mu + n - 1 from the semigroup.  Any mismatch
-    raises TheoremViolation.
+    raises TheoremViolation.  The checks run once per branch type; the
+    matrix and with_curve repeat their values over the copies.
     """
-    branches = tuple(decompose(E).branches())
-    groups = _copy_groups(branches)
-    traces = [branch_trace(E, branches[g.start]) for g in groups]
-    return _checked_report(E, branches, groups, traces, _raise)
-
-
-def _copy_groups(branches: tuple[PolarBranch, ...]) -> list[range]:
-    """Index ranges of the maximal runs of consecutive branches with
-    equal (package, depth, p, q).  The closed forms and branch_trace
-    read no other field but starts_at_terminal, which is set per
-    package, so one member stands for its whole run."""
-    groups = []
-    start = 0
-    for _, run in groupby(branches, attrgetter("package", "depth", "p", "q")):
-        stop = start + sum(1 for _ in run)
-        groups.append(range(start, stop))
-        start = stop
-    return groups
+    D = decompose(E)
+    types = list(D.types())
+    traces = [branch_trace(E, t) for t in types]
+    closed, values, total = _checked_report(E, types, traces, _raise)
+    type_of = [g for g, t in enumerate(types) for _ in range(t.copies)]
+    rows = []
+    for g, t in enumerate(types):
+        row = [closed[g][h] for h in type_of]
+        first = len(rows)
+        rows += [(*row[:a], 0, *row[a + 1 :]) for a in range(first, first + t.copies)]
+    with_curve = tuple(values[g] for g in type_of)
+    return IntersectionReport(E, tuple(D.branches()), tuple(rows), with_curve, total)
 
 
 def _checked_report(
     E: EqClass,
-    branches: tuple[PolarBranch, ...],
-    groups: list[range],
+    types: list[PolarBranch],
     traces: list[Trace],
-    fail: Callable[[str, str], None],
-) -> IntersectionReport:
+    fail: Callable[[str, str, int], None],
+) -> tuple[list[list[int]], list[int], int]:
     """The one closed-form-vs-Noether kernel behind intersection_report
-    and the sweep.  ``groups`` are the _copy_groups of ``branches`` and
-    ``traces`` holds one trace per group.  Each distinct pair of groups
-    (a group with itself when it has two or more copies) gets one closed
-    form and one Noether sum, and each group one I(b, f) check; the
-    matrix and with_curve repeat those values over the copies.  Each
-    mismatch still goes to ``fail(check, message)`` once per branch pair
-    or branch, under the check name 'pair_oracle', 'branch_vs_curve' or
-    'grand_total'; the closed-form values are kept whether or not
-    ``fail`` returns.  The branches are decompose(E)'s own, so pairs
-    skip require_member.
+    and the sweep, over the branch types of decompose(E) in order and
+    one trace per type.  Each pair of types, and a type with itself when
+    it has two or more copies, gets one closed form and one Noether sum,
+    and each type one I(b, f) check.  A mismatch goes to
+    ``fail(check, message, count)`` once, with count the number of
+    branch pairs (c*c' across types, c*(c-1)/2 within one) or branches
+    it stands for, under the check name 'pair_oracle',
+    'branch_vs_curve' or 'grand_total'; the closed-form values are kept
+    whether or not ``fail`` returns.  Returns the closed forms per pair
+    of types, I(b, f) per type and the grand total over all branches.
+    The types are decompose(E)'s own, so pairs skip require_member.
     """
     cluster = singularity_cluster(E)
     curve = (cluster.runs, cluster.counts)
-    closed = [[0] * len(groups) for _ in groups]
-    oracle = [[0] * len(groups) for _ in groups]
-    for g, group in enumerate(groups):
-        for a in group:
-            for h in range(g, len(groups)):
-                later = range(max(a + 1, groups[h].start), groups[h].stop)
-                if not later:
-                    continue
-                if a == group.start:
-                    closed[g][h] = closed[h][g] = _pair_intersection(
-                        E, branches[a], branches[later.start]
-                    )
-                    oracle[g][h] = noether_sum(traces[g], traces[h])
-                if closed[g][h] != oracle[g][h]:
-                    for c in later:
-                        fail(
-                            "pair_oracle",
-                            f"pair ({branches[a]}, {branches[c]}) of {E}: "
-                            f"closed form {closed[g][h]} != "
-                            f"Noether oracle {oracle[g][h]}",
-                        )
-    rows = []
-    for g, group in enumerate(groups):
-        row = []
-        for h, other in enumerate(groups):
-            row += [closed[g][h]] * len(other)
-        rows += [(*row[:a], 0, *row[a + 1 :]) for a in group]
-    with_curve = []
-    for group, tr in zip(groups, traces):
-        value = branch_vs_curve(E, branches[group.start])
-        expected = noether_sum(tr, curve)
-        for a in group:
-            if value != expected:
+    closed = [[0] * len(types) for _ in types]
+    for g, t in enumerate(types):
+        for h in range(g, len(types)):
+            u = types[h]
+            pairs = t.copies * (t.copies - 1) // 2 if g == h else t.copies * u.copies
+            if not pairs:
+                continue
+            value = closed[g][h] = closed[h][g] = _pair_intersection(E, t, u)
+            oracle = noether_sum(traces[g], traces[h])
+            if value != oracle:
                 fail(
-                    "branch_vs_curve",
-                    f"{branches[a]} against {E}: "
-                    f"closed form {value} != oracle {expected}",
+                    "pair_oracle",
+                    f"pair ({t}, {u if g != h else replace(t, copy=2)}) of {E}: "
+                    f"closed form {value} != Noether oracle {oracle}",
+                    pairs,
                 )
-            with_curve.append(value)
-    total = sum(with_curve)
+    with_curve = []
+    for t, tr in zip(types, traces):
+        value = branch_vs_curve(E, t)
+        expected = noether_sum(tr, curve)
+        if value != expected:
+            fail(
+                "branch_vs_curve",
+                f"{t} against {E}: closed form {value} != oracle {expected}",
+                t.copies,
+            )
+        with_curve.append(value)
+    total = sum(t.copies * value for t, value in zip(types, with_curve))
     if total != E.milnor + E.multiplicity - 1:
         fail(
             "grand_total",
             f"I(f, P(f)) = {total} for {E}, expected mu + n - 1 = "
             f"{E.milnor + E.multiplicity - 1}",
+            1,
         )
-    return IntersectionReport(E, branches, tuple(rows), tuple(with_curve), total)
+    return closed, with_curve, total
 
 
 @dataclass
@@ -256,8 +238,9 @@ class SweepReport:
     def ok(self) -> bool:
         return not self.failures
 
-    def record(self, check: str, description: str) -> None:
-        self.failures[check] = self.failures.get(check, 0) + 1
+    def record(self, check: str, description: str, count: int = 1) -> None:
+        """Count ``count`` violations of ``check``, described once."""
+        self.failures[check] = self.failures.get(check, 0) + count
         bucket = self.examples.setdefault(check, [])
         if len(bucket) < 5:
             bucket.append(description)
@@ -328,32 +311,32 @@ def _verify_one(E: EqClass, report: SweepReport) -> None:
 
     D = decompose(E)
     for pkg, s in zip(D.packages, package_summary(E)):
-        if len(pkg.branches) != s.branches:
+        if sum(t.copies for t in pkg.types) != s.branches:
             report.record("package_summary", f"{E}: package {pkg.index}")
 
-    branches = tuple(D.branches())
-    report.branches += len(branches)
-    report.pairs += len(branches) * (len(branches) - 1) // 2
-    groups = _copy_groups(branches)
-    traces = [branch_trace(E, branches[g.start]) for g in groups]
+    types = list(D.types())
+    branches = sum(t.copies for t in types)
+    report.branches += branches
+    report.pairs += branches * (branches - 1) // 2
+    traces = [branch_trace(E, t) for t in types]
 
     aggregate = [0] * len(polar.runs)
-    for group, tr in zip(groups, traces):
+    for t, tr in zip(types, traces):
         if tr.counts != polar.counts[: len(tr.counts)]:
-            for _ in group:
-                report.record("sharp_pass", f"{E}: trace segments {tr.counts}")
+            report.record("sharp_pass", f"{E}: trace segments {tr.counts}", t.copies)
             continue
         for i, v in enumerate(tr.values):
-            aggregate[i] += len(group) * v
+            aggregate[i] += t.copies * v
     if tuple(aggregate) != polar.runs:
         report.record(
             "sharp_pass", f"{E}: trace sum {tuple(aggregate)} != {polar.runs}"
         )
 
-    checked = _checked_report(E, branches, groups, traces, report.record)
-    for b, closed in zip(branches, checked.with_curve):
-        expected_genus = b.package if b.p > 1 else b.package - 1
-        if b.genus != expected_genus:
-            report.record("genus_bounds", f"{E}: {b} has genus {b.genus}")
-        if closed != b.multiplicity * D.packages[b.package - 1].quotient:
-            report.record("quotient_ratio", f"{E}: {b}")
+    _, with_curve, _ = _checked_report(E, types, traces, report.record)
+    for t, closed in zip(types, with_curve):
+        expected_genus = t.package if t.p > 1 else t.package - 1
+        if t.genus != expected_genus:
+            report.record("genus_bounds", f"{E}: {t} has genus {t.genus}", t.copies)
+        quotient = scaled_polar_quotient(E, t.package)
+        if closed * E.multiplicity != t.multiplicity * quotient:
+            report.record("quotient_ratio", f"{E}: {t}", t.copies)

@@ -260,7 +260,7 @@ def verify_class(E: EqClass, seed: int | None = None, retries: int = 5) -> Serie
             f"{E} is beyond the desk-scale oracle bounds "
             f"(n <= {MAX_MULTIPLICITY}, conductor <= {MAX_CONDUCTOR})"
         )
-    expected = sum(branch_vs_curve(E, b) for b in decompose(E).branches())
+    expected = sum(t.copies * branch_vs_curve(E, t) for t in decompose(E).types())
     if expected != E.milnor + n - 1:
         raise TheoremViolation(
             f"predicted total {expected} != mu + n - 1 for {E}"

@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, exit codes, JSON stability."""
 
+import hashlib
 import json
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from polarfactor import cluster
 from polarfactor.cli import build_parser, main, parse_class_spec
 from polarfactor.cluster import singularity_cluster
-from polarfactor.eqclass import InvalidClassError, validate
+from polarfactor.eqclass import InvalidClassError, enumerate_classes, validate
 
 
 def run(capsys, *argv):
@@ -125,7 +126,16 @@ def test_a_large_exponent_is_answered_from_its_rows(capsys):
 def test_pair_listings_refuse_above_the_bound(capsys, monkeypatch):
     # K(5;9) has 4 polar branches, so 6 pairs; the pair listing shares
     # the point listing's bound and is refused before it is built.
-    # K(8;12,14,15) has 3 branches, far fewer than its n - 1 = 7 bound.
+    # K(8;12,14,15) has 3 branches, so 3 pairs, within the lower bound.
+    # K(10^6 + 1; 2*10^6 + 1) is one type with 10^6 copies, so its pairs
+    # are counted from decompose without building a branch per copy.
+    for argv in (("matrix", "1000001:2000001"), ("decompose", "1000001:2000001")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == (
+            "error: K(1000001;2000001) has 499999500000 branch pairs; "
+            "listing stops at 100000\n"
+        )
     commands = [
         ("decompose", "5:9"),
         ("decompose", "5:9", "--json"),
@@ -143,6 +153,19 @@ def test_pair_listings_refuse_above_the_bound(capsys, monkeypatch):
         assert err == "error: K(5;9) has 6 branch pairs; listing stops at 5\n"
     code, out, _ = run(capsys, "matrix", "8:12,14,15")
     assert code == 0 and "total curve-polar intersection = 91" in out
+
+
+def test_decompose_json_is_byte_identical_over_the_sweep_box(capsys):
+    # Copy indices, pair order, with_curve and totals of every class in
+    # the (16, 60) box, as one digest of the concatenated JSON output.
+    digest = hashlib.sha256()
+    for E in enumerate_classes(16, 60):
+        code, out, _ = run(capsys, "decompose", E.notation(), "--json")
+        assert code == 0
+        digest.update(out.encode())
+    assert digest.hexdigest() == (
+        "f18df1d95180d0e840f84666ee06e3585d6fac61b54614e58502b8aab9ec4011"
+    )
 
 
 def test_enriques_dot(capsys):

@@ -1,10 +1,12 @@
 """Polar factorization: packages, branch invariants, and traces."""
 
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from polarfactor.classify import max_branch_genus
 from polarfactor.decompose import (
     Trace,
     branch_count,
@@ -41,25 +43,27 @@ def test_equisingular_copies_share_everything_but_the_copy_index():
     D = decompose(validate(5, [7]))
     (pkg,) = D.packages
     assert pkg.multiplicity == 4 and pkg.quotient == 7
-    a, b = pkg.branches
+    a, b = pkg.branches()
     assert a.canonical == b.canonical == validate(2, [3])
     assert (a.p, a.q) == (b.p, b.q) == (2, 3)
     assert (a.copy, b.copy) == (1, 2)
-    assert (a.position, b.position) == (0, 1)
+    # the package stores one type, copy 1, and expands it on demand
+    (t,) = pkg.types
+    assert t.copies == 2 and a == t and b == replace(t, copy=2)
 
 
 def test_all_smooth_package():
     D = decompose(validate(4, [7]))
     (pkg,) = D.packages
-    assert [b.canonical for b in pkg.branches] == [None, None, None]
-    assert [(b.p, b.q) for b in pkg.branches] == [(1, 2)] * 3
+    assert [b.canonical for b in pkg.branches()] == [None, None, None]
+    assert [(b.p, b.q) for b in pkg.branches()] == [(1, 2)] * 3
     assert pkg.multiplicity == 3
 
 
 def test_single_deep_branch():
     D = decompose(validate(6, [7]))
     (pkg,) = D.packages
-    (b,) = pkg.branches
+    (b,) = pkg.branches()
     assert b.canonical == validate(5, [6])
     assert (b.p, b.q) == (5, 6)
     assert b.genus == 1  # p > 1 keeps the full package genus
@@ -71,8 +75,8 @@ def test_two_depths_in_one_package():
     D = decompose(validate(8, [19]))
     (pkg,) = D.packages
     assert pkg.ladder == (2, 2, 1, 1, 1)
-    assert [(b.depth, b.p, b.q) for b in pkg.branches] == [(1, 2, 5), (2, 5, 12)]
-    assert [b.canonical for b in pkg.branches] == [
+    assert [(b.depth, b.p, b.q) for b in pkg.branches()] == [(1, 2, 5), (2, 5, 12)]
+    assert [b.canonical for b in pkg.branches()] == [
         validate(2, [5]),
         validate(5, [12]),
     ]
@@ -85,7 +89,7 @@ def test_branch_count_matches_construction():
         E = validate(n, ms)
         D = decompose(E)
         for pkg in D.packages:
-            assert branch_count(E, pkg.index) == len(pkg.branches)
+            assert branch_count(E, pkg.index) == len(list(pkg.branches()))
     assert branch_count(validate(8, [12, 14, 15]), 3) == 1
     assert branch_count(validate(2, [3]), 1) == 1
 
@@ -99,7 +103,7 @@ def test_package_summary_agrees_with_decomposition():
                 s.multiplicity,
                 s.quotient,
             )
-            assert len(pkg.branches) == s.branches
+            assert len(list(pkg.branches())) == s.branches
     assert [s.multiplicity for s in package_summary(validate(10, [15, 22]))] == [1, 8]
 
 
@@ -111,6 +115,24 @@ def test_require_member_rejects_foreign_branches():
         require_member(E8, foreign)
     native = next(decompose(E8).branches())
     assert require_member(E8, native) is decompose(E8)
+
+
+def test_a_wide_package_is_one_type_with_its_copy_count():
+    # K(n; 2n - 1) has n - 1 smooth polar branches, all copies of one
+    # type; at n = 10^6 + 1 nothing is built per copy.
+    E = validate(10**6 + 1, [2 * 10**6 + 1])
+    D = decompose(E)
+    (pkg,) = D.packages
+    (t,) = pkg.types
+    assert t.copies == 10**6 and t.copy == 1 and t.canonical is None
+    assert max_branch_genus(E) == 0
+    assert require_member(E, replace(t, copy=10**6)) is D
+    # K(4;7)'s smooth type differs from this one only in its copy count
+    (other,) = decompose(validate(4, [7])).packages[0].types
+    assert replace(other, copies=10**6) == t
+    for bad in (replace(t, copy=0), replace(t, copy=10**6 + 1), other):
+        with pytest.raises(ValueError, match="not produced by"):
+            require_member(E, bad)
 
 
 def expand(trace):

@@ -196,10 +196,10 @@ def test_failures_are_counted_per_branch_pair_not_per_copy_group(
     monkeypatch, closed_form, check, unit
 ):
     # The box (4, 9) holds K(4;7), whose 3 polar branches are copies of
-    # one branch: the kernel checks them once, but every pair and every
+    # one type: the kernel checks them once, but every pair and every
     # branch that the wrong value reaches is recorded.
-    groups = intersect._copy_groups(tuple(decompose(validate(4, [7])).branches()))
-    assert groups == [range(0, 3)]
+    (pkg,) = decompose(validate(4, [7])).packages
+    assert [t.copies for t in pkg.types] == [3]
     right = getattr(intersect, closed_form)
     monkeypatch.setattr(intersect, closed_form, lambda E, *bs: right(E, *bs) + 1)
     report = verify_classes(4, 9)
@@ -207,8 +207,8 @@ def test_failures_are_counted_per_branch_pair_not_per_copy_group(
 
 
 def test_the_kernel_checks_each_branch_once_per_entry_point(monkeypatch):
-    # branch_trace and branch_vs_curve each check one branch per copy
-    # group; the pair loop trusts decompose(E)'s own branches.
+    # branch_trace and branch_vs_curve each check one branch per type;
+    # the pair loop trusts decompose(E)'s own types.
     module = sys.modules["polarfactor.decompose"]
     right = module.require_member
     calls = []
@@ -219,12 +219,12 @@ def test_the_kernel_checks_each_branch_once_per_entry_point(monkeypatch):
 
     monkeypatch.setattr(module, "require_member", counted)
     monkeypatch.setattr(intersect, "require_member", counted)
-    for (n, ms), branches, groups in [((10, [15, 22]), 3, 2), ((5, [9]), 4, 1)]:
+    for (n, ms), branches, types in [((10, [15, 22]), 3, 2), ((5, [9]), 4, 1)]:
         branch_trace.cache_clear()
         calls.clear()
         rep = intersection_report(validate(n, ms))
         assert len(rep.branches) == branches
-        assert len(calls) == 2 * groups
+        assert len(calls) == 2 * types
 
 
 def test_a_trace_count_off_by_one_is_caught(monkeypatch):
