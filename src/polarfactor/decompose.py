@@ -7,10 +7,12 @@ h_{2i} equisingular branches whose invariants come from the convergent
 at index 2i-1.  A package stores one branch type per odd convergent with
 its copy count h_{2i}; only ``branches()`` expands the copies.  Branches
 are represented by that convergent, a raw exponent tuple, and the
-canonical class of the tuple.  Their
-multiplicity traces are runs over the same even-normalized ladders that
-segment the curve's cluster, so this module never builds a cluster; the
-two meet in the Noether oracle of intersect.
+canonical class of the tuple.  A branch's multiplicity trace reads the
+curve's cluster: its runs scaled through the earlier blocks, then the
+remainder walk of the branch's convergent down the cluster's segments
+of its own block.  ``decompose`` itself reads the ladders off
+``block_expansion`` and builds no cluster, so the series route, which
+calls it, stays off cluster code.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from functools import lru_cache
 from typing import Iterator, NamedTuple
 
 from .arith import convergent, forced_remainders, normalize_even
+from .cluster import singularity_cluster
 from .eqclass import (
     EqClass,
     InvalidClassError,
@@ -93,14 +96,12 @@ class PolarBranch:
 @dataclass(frozen=True, slots=True)
 class PolarPackage:
     """All branches sharing one polar quotient, as one type per odd
-    convergent (``types[depth - 1]``), with the even-normalized block
-    expansion (``ladder``) that they are read off and their traces walk."""
+    convergent (``types[depth - 1]``)."""
 
     index: int
     types: tuple[PolarBranch, ...]
     multiplicity: int
     quotient: Fraction
-    ladder: tuple[int, ...]
 
     def branches(self) -> Iterator[PolarBranch]:
         """Every branch of the package: each type's copies in order."""
@@ -183,7 +184,7 @@ def decompose(E: EqClass) -> PolarDecomposition:
                 f"descent-chain value {expected}"
             )
         quotient = polar_quotient(E, k)
-        packages.append(PolarPackage(k, tuple(types), mult, quotient, hn))
+        packages.append(PolarPackage(k, tuple(types), mult, quotient))
     total = sum(pkg.multiplicity for pkg in packages)
     if total != n - 1:
         raise TheoremViolation(f"polar of {E} has multiplicity {total} != n - 1")
@@ -235,37 +236,31 @@ def package_summary(E: EqClass) -> tuple[PackageSummary, ...]:
 @lru_cache(maxsize=4096)
 def branch_trace(E: EqClass, b: PolarBranch) -> Trace:
     """Multiplicities of one polar branch along the curve's cluster, as
-    runs over the segments of the packages' ladders, ending at the
-    branch's last point.
+    runs over the cluster's segments, ending at the branch's last point.
 
     Through blocks 1..k-1 of b's package k the branch follows the curve
-    scaled by p/e_{k-1}: each segment of block j carries its Euclid
-    row's divisor (the terminal split off an odd last row keeps its
-    row's), and each division is checked exact.  Through block k it
-    walks the remainder recurrence of (q, p) down the segments 0..2i-1
-    of its ladder; the cluster's later segments are absent, and
+    (Casas-Alvero's description of the polar's cluster): its values are
+    the cluster's runs scaled by p/e_{k-1}, each division checked exact.
+    Through block k it walks the remainder recurrence of (q, p) down the
+    cluster's segments 0..2i-1 of that block, which checks (p, q)
+    against the cluster's ladder; the later segments are absent, and
     noether_sum reads them as 0.  In the gap-below-e case segment 0 is
     empty and the walk's first value p must equal the trace at the
     previous block's terminal.
     """
-    k = b.package
-    packages = require_member(E, b).packages
-    e_prev = E.gcds[k - 1]
+    require_member(E, b)
+    C = singularity_cluster(E)
+    e_prev = E.gcds[b.package - 1]
+    start = [i for i, a in enumerate(C.steps) if a == 0][b.package - 1]
     values: list[int] = []
-    counts: list[int] = []
-    for pkg in packages[: k - 1]:
-        divisors = block_expansion(E, pkg.index).row_values()
-        for v in (divisors + divisors[-1:])[: len(pkg.ladder)]:
-            scaled, rem = divmod(v * b.p, e_prev)
-            if rem:
-                raise TheoremViolation(
-                    f"non-integral scaled multiplicity in block {pkg.index} of {E}"
-                )
-            values.append(scaled)
-        counts += pkg.ladder
-    ladder = packages[k - 1].ladder[: 2 * b.depth]
+    for v in C.runs[:start]:
+        scaled, rem = divmod(v * b.p, e_prev)
+        if rem:
+            raise TheoremViolation(f"{b} of {E}: non-integral scaled multiplicity")
+        values.append(scaled)
+    counts = C.counts[: start + 2 * b.depth]
     try:
-        walk = forced_remainders(ladder, b.q, b.p)
+        walk = forced_remainders(counts[start:], b.q, b.p)
     except ValueError as exc:
         raise TheoremViolation(f"{b} of {E}: {exc}") from exc
     if b.starts_at_terminal and values[-1] != walk[0]:
@@ -273,4 +268,4 @@ def branch_trace(E: EqClass, b: PolarBranch) -> Trace:
             f"{b} of {E}: chain anchor value {walk[0]} != "
             f"terminal trace {values[-1]}"
         )
-    return Trace((*values, *walk), (*counts, *ladder))
+    return Trace((*values, *walk), counts)

@@ -57,14 +57,16 @@ class EqClass:
 
     Instances are only built through validate() / enumerate_classes(),
     which guarantee the invariants; the constructor performs no checks.
+    The derived fields are functions of (n; m), so equality and hashing
+    read (n; m) alone.
     """
 
     multiplicity: int
     exponents: tuple[int, ...]
-    gcds: tuple[int, ...] = field(repr=False)
-    descents: tuple[int, ...] = field(repr=False)
-    semigroup: tuple[int, ...] = field(repr=False)
-    conductor: int = field(repr=False)
+    gcds: tuple[int, ...] = field(repr=False, compare=False)
+    descents: tuple[int, ...] = field(repr=False, compare=False)
+    semigroup: tuple[int, ...] = field(repr=False, compare=False)
+    conductor: int = field(repr=False, compare=False)
 
     @property
     def genus(self) -> int:

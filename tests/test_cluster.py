@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 from polarfactor import cluster
+from polarfactor.arith import normalize_even
 from polarfactor.cluster import (
     check_proximity,
     noether_sum,
@@ -52,11 +53,17 @@ def reference_polar_values(E):
     return tuple(polar)
 
 
-def reference_proximity(values, seconds):
+def reference_proximate_sums(values, seconds):
+    """Per point P, the sum of v(Q) over the points Q proximate to P."""
     sums = [*values[1:], 0]
     for v, target in zip(values, seconds):
         if target is not None:
             sums[target] += v
+    return sums
+
+
+def reference_proximity(values, seconds):
+    sums = reference_proximate_sums(values, seconds)
     deficits = tuple(i for i, v in enumerate(values) if v < sums[i])
     strict = tuple(i for i, v in enumerate(values) if v > sums[i])
     return deficits, strict
@@ -106,6 +113,26 @@ def test_run_noether_sums_match_the_pointwise_reference():
             assert noether_sum(a, b) == reference_noether_sum(
                 expand(a), expand(b)
             ), E
+
+
+def test_polar_proximity_excess_counts_the_branches():
+    # A route to the branch counts that reads no convergent: the polar's
+    # excess v(P) - sum of v(Q) over the points Q proximate to P, point
+    # by point, is the copy count of package k's depth-i type at the last
+    # point of segment 2i - 1 of block k, and 0 everywhere else.
+    for E in itertools.chain(
+        enumerate_classes(10, 60), LONG_CLASSES, [validate(32, [48, 56, 60, 62, 63])]
+    ):
+        _, _, seconds, spans = reference_cluster(E)
+        polar = reference_polar_values(E)
+        sums = reference_proximate_sums(polar, seconds)
+        excess = {i: v - t for i, (v, t) in enumerate(zip(polar, sums)) if v != t}
+        expected = {}
+        for pkg, (start, _) in zip(decompose(E).packages, spans):
+            ladder = normalize_even(block_expansion(E, pkg.index).quotients)
+            for t in pkg.types:
+                expected[start + sum(ladder[: 2 * t.depth]) - 1] = t.copies
+        assert excess == expected, E
 
 
 def test_curve_valuations_examples():

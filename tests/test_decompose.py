@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from polarfactor.classify import max_branch_genus
+from polarfactor.cluster import singularity_cluster
 from polarfactor.decompose import (
     Trace,
     branch_count,
@@ -74,7 +75,7 @@ def test_two_depths_in_one_package():
     # odd indices give one K(2;5) and one K(5;12) branch
     D = decompose(validate(8, [19]))
     (pkg,) = D.packages
-    assert pkg.ladder == (2, 2, 1, 1, 1)
+    assert singularity_cluster(validate(8, [19])).counts == (2, 2, 1, 1, 1)
     assert [(b.depth, b.p, b.q) for b in pkg.branches()] == [(1, 2, 5), (2, 5, 12)]
     assert [b.canonical for b in pkg.branches()] == [
         validate(2, [5]),

@@ -1,5 +1,6 @@
 """Validation, derived chains, quotients, and class enumeration."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -35,6 +36,14 @@ def test_validate_derives_all_chains():
 def test_validate_accepts_sequences_and_is_hashable():
     assert validate(5, (7,)) == validate(5, [7])
     assert hash(validate(5, (7,))) == hash(validate(5, [7]))
+
+
+def test_equality_and_hash_read_n_and_m_only():
+    # the derived fields are functions of (n; m), so they take no part
+    E = validate(8, [12, 14, 15])
+    assert replace(E, conductor=0) == E
+    assert hash(replace(E, gcds=(), descents=(), semigroup=())) == hash(E)
+    assert validate(8, [12, 14, 17]) != E
 
 
 @pytest.mark.parametrize(
