@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 from functools import cache
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import cluster
 from .classify import scan
@@ -52,11 +52,17 @@ def _class_payload(E: EqClass) -> dict:
     }
 
 
-def _branch_payload(b: PolarBranch) -> dict:
+def _numbered(types: Iterable[PolarBranch]) -> Iterator[tuple[PolarBranch, int]]:
+    """Each branch type once per copy, with its copy number 1..copies.
+    The copies cannot be told apart; only the listings number them."""
+    return ((t, j) for t in types for j in range(1, t.copies + 1))
+
+
+def _branch_payload(b: PolarBranch, copy: int) -> dict:
     return {
         "package": b.package,
         "depth": b.depth,
-        "copy": b.copy,
+        "copy": copy,
         "p": b.p,
         "q": b.q,
         "case": b.case,
@@ -97,7 +103,7 @@ def _decompose_payload(E: EqClass) -> dict:
                     "num": pkg.quotient.numerator,
                     "den": pkg.quotient.denominator,
                 },
-                "branches": [_branch_payload(b) for b in pkg.branches()],
+                "branches": [_branch_payload(b, j) for b, j in _numbered(pkg.types)],
             }
             for pkg in decompose(E).packages
         ],
@@ -106,23 +112,24 @@ def _decompose_payload(E: EqClass) -> dict:
 
 
 def _print_decomposition_text(E: EqClass, matrix_only: bool) -> None:
+    D = decompose(E)
     rep = intersection_report(E)
-    names = [f"[{b.package},{b.depth},{b.copy}]" for b in rep.branches]
+    names = [f"[{b.package},{b.depth},{j}]" for b, j in _numbered(D.types())]
     if not matrix_only:
         print(
             f"{E}  multiplicity {E.multiplicity}  genus {E.genus}  "
             f"conductor {E.conductor}"
         )
-        for pkg in decompose(E).packages:
+        for pkg in D.packages:
             print(
                 f"package {pkg.index}: multiplicity {pkg.multiplicity}, "
                 f"polar quotient {pkg.quotient}, "
                 f"{sum(t.copies for t in pkg.types)} branch(es)"
             )
-            for b in pkg.branches():
+            for b, j in _numbered(pkg.types):
                 body = str(b.canonical) if b.canonical is not None else "smooth"
                 print(
-                    f"  xi[{b.package},{b.depth},{b.copy}]  {body}  "
+                    f"  xi[{b.package},{b.depth},{j}]  {body}  "
                     f"(p,q)=({b.p},{b.q})  raw {b.exponents}  "
                     f"mult {b.multiplicity}  genus {b.genus}"
                 )

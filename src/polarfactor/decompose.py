@@ -4,9 +4,9 @@ The polar of a general member of a class factors into one package per
 characteristic exponent.  Package k is read off the even-normalized
 expansion of (m_k - m_{k-1})/e_{k-1}: every even index 2i contributes
 h_{2i} equisingular branches whose invariants come from the convergent
-at index 2i-1.  A package stores one branch type per odd convergent with
-its copy count h_{2i}; only ``branches()`` expands the copies.  Branches
-are represented by that convergent, a raw exponent tuple, and the
+at index 2i-1.  The copies cannot be told apart, so a package stores
+one branch type per odd convergent with its copy count h_{2i}.  A type
+is represented by that convergent, a raw exponent tuple, and the
 canonical class of the tuple.  A branch's multiplicity trace reads the
 curve's cluster: its runs scaled through the earlier blocks, then the
 remainder walk of the branch's convergent down the cluster's segments
@@ -17,9 +17,10 @@ calls it, stays off cluster code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from typing import Iterator, NamedTuple
 
 from .arith import convergent, forced_remainders, normalize_even
@@ -49,12 +50,11 @@ __all__ = [
 
 @dataclass(frozen=True, slots=True)
 class PolarBranch:
-    """One branch of the general polar.
+    """One branch type of the general polar.
 
-    (package, depth, copy) identify it: package k, convergent index
-    2*depth - 1, copy 1..copies among the ``copies`` = h_{2*depth}
-    equisingular branches that share a convergent.  A package stores
-    only copy 1, as the type of all of them.
+    (package, depth) identify it: package k, convergent index
+    2*depth - 1.  The polar has ``copies`` = h_{2*depth} equisingular
+    branches of this type, and one object stands for all of them.
     ``starts_at_terminal`` tags the block shape:
     True when m_k - m_{k-1} < e_{k-1}, in which case the branch's chain
     through block k begins at the previous block's terminal point.
@@ -64,7 +64,6 @@ class PolarBranch:
 
     package: int
     depth: int
-    copy: int
     copies: int
     p: int
     q: int
@@ -90,28 +89,18 @@ class PolarBranch:
             if self.canonical is not None
             else "smooth"
         )
-        return f"xi[{self.package},{self.depth},{self.copy}] {body}"
+        return f"xi[{self.package},{self.depth}] {body}"
 
 
 @dataclass(frozen=True, slots=True)
 class PolarPackage:
     """All branches sharing one polar quotient, as one type per odd
-    convergent (``types[depth - 1]``)."""
+    convergent (``types[depth - 1]``), each with its copy count."""
 
     index: int
     types: tuple[PolarBranch, ...]
     multiplicity: int
     quotient: Fraction
-
-    def branches(self) -> Iterator[PolarBranch]:
-        """Every branch of the package: each type's copies in order."""
-        for t in self.types:
-            yield t
-            for j in range(2, t.copies + 1):
-                yield PolarBranch(
-                    t.package, t.depth, j, t.copies, t.p, t.q,
-                    t.starts_at_terminal, t.exponents, t.canonical,
-                )
 
 
 @dataclass(frozen=True, slots=True)
@@ -124,8 +113,9 @@ class PolarDecomposition:
             yield from pkg.types
 
     def branches(self) -> Iterator[PolarBranch]:
-        for pkg in self.packages:
-            yield from pkg.branches()
+        """Every branch in order: each type, the same object, per copy."""
+        for t in self.types():
+            yield from repeat(t, t.copies)
 
 
 class PackageSummary(NamedTuple):
@@ -174,7 +164,7 @@ def decompose(E: EqClass) -> PolarDecomposition:
                 except InvalidClassError as exc:
                     raise TheoremViolation(f"branch {exps} of {E}: {exc}") from exc
             types.append(
-                PolarBranch(k, i, 1, hn[2 * i], p, q, gap_below, exps, canonical)
+                PolarBranch(k, i, hn[2 * i], p, q, gap_below, exps, canonical)
             )
         mult = sum(t.copies * t.multiplicity for t in types)
         expected = scale * (E.descents[k - 1] - 1)
@@ -192,20 +182,20 @@ def decompose(E: EqClass) -> PolarDecomposition:
 
 
 def require_member(E: EqClass, b: PolarBranch) -> PolarDecomposition:
-    """Check that b is (value-equal to) a branch of decompose(E).
+    """Check that b is (value-equal to) a branch type of decompose(E).
 
     Intersection formulas silently produce garbage for a branch of some
     other class, so every entry point that takes (class, branch) pairs
     funnels through here.  The branch's package and depth name the one
-    type it can be a copy of; a stored type passes by identity.  Returns
-    the decomposition for reuse.
+    type it can be; a stored type passes by identity.  Returns the
+    decomposition for reuse.
     """
     D = decompose(E)
     if 1 <= b.package <= len(D.packages):
         types = D.packages[b.package - 1].types
         if 1 <= b.depth <= len(types):
             t = types[b.depth - 1]
-            if b is t or 1 <= b.copy <= t.copies and replace(b, copy=1) == t:
+            if b is t or b == t:
                 return D
     raise ValueError(f"{b} was not produced by decompose({E})")
 

@@ -16,7 +16,7 @@ engine behind the CLI's cluster verification mode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 from .cluster import check_proximity, noether_sum, polar_cluster, singularity_cluster
@@ -192,7 +192,7 @@ def _checked_report(
             if value != oracle:
                 fail(
                     "pair_oracle",
-                    f"pair ({t}, {u if g != h else replace(t, copy=2)}) of {E}: "
+                    f"pair ({t}, {u}) of {E}: "
                     f"closed form {value} != Noether oracle {oracle}",
                     pairs,
                 )

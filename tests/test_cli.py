@@ -72,6 +72,24 @@ def test_decompose_text_output(capsys):
     assert "total curve-polar intersection = 91" in out
 
 
+def test_text_listings_number_the_copies(capsys):
+    # K(4;7)'s polar is one smooth branch type with 3 copies; only the
+    # CLI numbers them
+    code, out, _ = run(capsys, "decompose", "4:7")
+    assert code == 0
+    for j in (1, 2, 3):
+        assert f"  xi[1,1,{j}]  smooth  (p,q)=(1,2)  raw (1, 2)" in out
+    code, out, _ = run(capsys, "matrix", "4:7")
+    assert code == 0
+    assert out.splitlines() == [
+        "I([1,1,1], [1,1,2]) = 2",
+        "I([1,1,1], [1,1,3]) = 2",
+        "I([1,1,2], [1,1,3]) = 2",
+        "with curve: [1,1,1]: 7, [1,1,2]: 7, [1,1,3]: 7",
+        "total curve-polar intersection = 21 (milnor 18 + multiplicity 4 - 1)",
+    ]
+
+
 def test_invalid_class_exits_2_with_named_invariant(capsys):
     code, out, err = run(capsys, "decompose", "4:6,8")
     assert code == 2

@@ -16,7 +16,7 @@ from polarfactor.decompose import (
     package_summary,
     require_member,
 )
-from polarfactor.eqclass import TheoremViolation, validate
+from polarfactor.eqclass import TheoremViolation, enumerate_classes, validate
 
 
 def test_three_package_worked_example():
@@ -36,35 +36,38 @@ def test_three_package_worked_example():
     assert [b.genus for b in (b1, b2, b3)] == [0, 1, 2]
     # upper blocks open with an exponent gap below e_{k-1} here
     assert (b1.case, b2.case, b3.case) == (">", "<", "<")
-    assert str(b2) == "xi[2,1,1] K(2;3)"
-    assert str(b1) == "xi[1,1,1] smooth"
+    assert str(b2) == "xi[2,1] K(2;3)"
+    assert str(b1) == "xi[1,1] smooth"
 
 
-def test_equisingular_copies_share_everything_but_the_copy_index():
+def test_equisingular_copies_are_one_type():
     D = decompose(validate(5, [7]))
     (pkg,) = D.packages
     assert pkg.multiplicity == 4 and pkg.quotient == 7
-    a, b = pkg.branches()
-    assert a.canonical == b.canonical == validate(2, [3])
-    assert (a.p, a.q) == (b.p, b.q) == (2, 3)
-    assert (a.copy, b.copy) == (1, 2)
-    # the package stores one type, copy 1, and expands it on demand
     (t,) = pkg.types
-    assert t.copies == 2 and a == t and b == replace(t, copy=2)
+    assert t.copies == 2 and t.canonical == validate(2, [3])
+    assert (t.p, t.q) == (2, 3)
+    assert list(D.branches()) == [t, t]
+    # the copies cannot be told apart: branches() repeats each stored type
+    for E in enumerate_classes(12, 40):
+        D = decompose(E)
+        expected = [u for u in D.types() for _ in range(u.copies)]
+        branches = list(D.branches())
+        assert len(branches) == len(expected)
+        assert all(b is u for b, u in zip(branches, expected))
 
 
 def test_all_smooth_package():
     D = decompose(validate(4, [7]))
     (pkg,) = D.packages
-    assert [b.canonical for b in pkg.branches()] == [None, None, None]
-    assert [(b.p, b.q) for b in pkg.branches()] == [(1, 2)] * 3
+    assert [b.canonical for b in D.branches()] == [None, None, None]
+    assert [(b.p, b.q) for b in D.branches()] == [(1, 2)] * 3
     assert pkg.multiplicity == 3
 
 
 def test_single_deep_branch():
     D = decompose(validate(6, [7]))
-    (pkg,) = D.packages
-    (b,) = pkg.branches()
+    (b,) = D.branches()
     assert b.canonical == validate(5, [6])
     assert (b.p, b.q) == (5, 6)
     assert b.genus == 1  # p > 1 keeps the full package genus
@@ -76,8 +79,8 @@ def test_two_depths_in_one_package():
     D = decompose(validate(8, [19]))
     (pkg,) = D.packages
     assert singularity_cluster(validate(8, [19])).counts == (2, 2, 1, 1, 1)
-    assert [(b.depth, b.p, b.q) for b in pkg.branches()] == [(1, 2, 5), (2, 5, 12)]
-    assert [b.canonical for b in pkg.branches()] == [
+    assert [(b.depth, b.p, b.q) for b in D.branches()] == [(1, 2, 5), (2, 5, 12)]
+    assert [b.canonical for b in D.branches()] == [
         validate(2, [5]),
         validate(5, [12]),
     ]
@@ -90,7 +93,7 @@ def test_branch_count_matches_construction():
         E = validate(n, ms)
         D = decompose(E)
         for pkg in D.packages:
-            assert branch_count(E, pkg.index) == len(list(pkg.branches()))
+            assert branch_count(E, pkg.index) == sum(t.copies for t in pkg.types)
     assert branch_count(validate(8, [12, 14, 15]), 3) == 1
     assert branch_count(validate(2, [3]), 1) == 1
 
@@ -104,7 +107,7 @@ def test_package_summary_agrees_with_decomposition():
                 s.multiplicity,
                 s.quotient,
             )
-            assert len(list(pkg.branches())) == s.branches
+            assert sum(t.copies for t in pkg.types) == s.branches
     assert [s.multiplicity for s in package_summary(validate(10, [15, 22]))] == [1, 8]
 
 
@@ -125,13 +128,14 @@ def test_a_wide_package_is_one_type_with_its_copy_count():
     D = decompose(E)
     (pkg,) = D.packages
     (t,) = pkg.types
-    assert t.copies == 10**6 and t.copy == 1 and t.canonical is None
+    assert t.copies == 10**6 and t.canonical is None
     assert max_branch_genus(E) == 0
-    assert require_member(E, replace(t, copy=10**6)) is D
-    # K(4;7)'s smooth type differs from this one only in its copy count
+    # K(4;7)'s smooth type differs from this one only in its copy count;
+    # a value-equal type passes as well as the stored one
     (other,) = decompose(validate(4, [7])).packages[0].types
-    assert replace(other, copies=10**6) == t
-    for bad in (replace(t, copy=0), replace(t, copy=10**6 + 1), other):
+    assert require_member(E, t) is D
+    assert require_member(E, replace(other, copies=10**6)) is D
+    for bad in (other, replace(t, depth=2), replace(t, package=2)):
         with pytest.raises(ValueError, match="not produced by"):
             require_member(E, bad)
 

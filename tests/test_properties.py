@@ -6,18 +6,36 @@ m_k = m_{k-1} + j_k * e_k with j_k prime to d_k = e_{k-1}/e_k keeps
 gcd(e_{k-1}, m_k) = e_k.  Half the draws choose the last exponent to
 make a genus drop, so both verdicts of the characterization are met
 (with e_{r-1} = 2 every class drops).
+
+Each polar branch type's trace along the curve's cluster must be the
+multiplicity sequence of its own class (Casas-Alvero, Singularities of
+Plane Curves, 2000), which checks the class itself and not only its
+genus.  The two run lists are cut into different segments, so they are
+compared with equal neighbouring runs merged.  The series oracle is
+drawn from every class within its bounds.
 """
 
+import sys
 from math import gcd, prod
 
 from hypothesis import given, settings, strategies as st
 
 from polarfactor.classify import genus_drop, max_branch_genus
-from polarfactor.eqclass import validate
+from polarfactor.cluster import singularity_cluster
+from polarfactor.decompose import branch_trace, decompose
+from polarfactor.eqclass import enumerate_classes, validate
 from polarfactor.intersect import SweepReport, _verify_one
+from polarfactor.oracle_series import MAX_CONDUCTOR, MAX_MULTIPLICITY, verify_class
 
 MAX_N = 128
 MAX_M = 10**4
+
+# m_r <= conductor + n - 1, so this box holds every in-bound class
+SERIES_CLASSES = [
+    E
+    for E in enumerate_classes(MAX_MULTIPLICITY, MAX_CONDUCTOR + MAX_MULTIPLICITY - 1)
+    if E.conductor <= MAX_CONDUCTOR
+]
 
 
 @st.composite
@@ -49,6 +67,41 @@ def classes(draw):
     return validate(gcds[0], ms)
 
 
+def merged_runs(values, counts):
+    """(value, count) runs with empty runs dropped and equal neighbours
+    merged."""
+    merged: list[list[int]] = []
+    for v, h in zip(values, counts):
+        if h and merged and merged[-1][0] == v:
+            merged[-1][1] += h
+        elif h:
+            merged.append([v, h])
+    return merged
+
+
+def class_runs(t, points):
+    """The multiplicities of t's own class over its first ``points``
+    points, padded with 1s; a smooth branch has only 1s."""
+    values, counts, left = [], [], points
+    if t.canonical is not None:
+        C = singularity_cluster(t.canonical)
+        for v, h in zip(C.runs, C.counts):
+            values.append(v)
+            counts.append(min(h, left))
+            left -= counts[-1]
+    return merged_runs((*values, 1), (*counts, left))
+
+
+def branch_class_mismatches(E):
+    """The branch types of E whose trace is not their class's sequence."""
+    mismatches = []
+    for t in decompose(E).types():
+        trace = branch_trace(E, t)
+        if merged_runs(*trace) != class_runs(t, sum(trace.counts)):
+            mismatches.append(t)
+    return mismatches
+
+
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(classes())
 def test_every_check_holds_on_random_classes(E):
@@ -56,3 +109,41 @@ def test_every_check_holds_on_random_classes(E):
     _verify_one(E, report)
     assert report.ok, report.examples
     assert genus_drop(E) == (max_branch_genus(E) < E.genus)
+    assert branch_class_mismatches(E) == []
+
+
+def test_every_branch_trace_is_its_class_sequence_in_a_box():
+    for E in enumerate_classes(10, 60):
+        assert branch_class_mismatches(E) == [], E
+
+
+def test_a_raised_last_branch_exponent_is_caught(monkeypatch):
+    # m_r + e_{r-1} keeps the gcd chain, so the raised class is valid and
+    # has the branch's genus; only the multiplicity sequence tells it apart.
+    module = sys.modules["polarfactor.decompose"]
+    right = module.canonicalize_exponents
+
+    def raised(n, exps):
+        B = right(n, exps)
+        return validate(n, (*B.exponents[:-1], B.exponents[-1] + B.gcds[-2]))
+
+    monkeypatch.setattr(module, "canonicalize_exponents", raised)
+    decompose.cache_clear()
+    try:
+        caught = 0
+        for E in enumerate_classes(10, 60):
+            singular = [t for t in decompose(E).types() if t.canonical is not None]
+            assert branch_class_mismatches(E) == singular, E
+            caught += len(singular)
+        assert caught == 2848
+    finally:
+        decompose.cache_clear()
+        branch_trace.cache_clear()
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.sampled_from(SERIES_CLASSES))
+def test_series_oracle_on_random_in_bound_classes(E):
+    report = verify_class(E, seed=1)
+    assert report.matched, report.summary()
+    assert report.observed == E.milnor + E.multiplicity - 1
