@@ -14,7 +14,7 @@ import sys
 from functools import cache
 from typing import Iterable, Iterator, Sequence
 
-from . import cluster
+from . import __version__, cluster
 from .classify import scan
 from .cluster import polar_cluster, render, singularity_cluster
 from .decompose import PolarBranch, decompose
@@ -237,6 +237,9 @@ def build_parser() -> argparse.ArgumentParser:
             "Equisingularity-type factorization of the general polar "
             "curve of an irreducible plane curve singularity."
         ),
+    )
+    parser.add_argument(
+        "--version", action="version", version=f"%(prog)s {__version__}"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -20,9 +20,15 @@ arithmetic is exact, so a match verifies the prediction for the sample
 outright; mismatches trigger a resample because a non-generic sample
 is a measure-zero accident, and only persistent disagreement counts.
 
-Everything here is deliberately restricted to desk scale (n <= 10,
-conductor <= 120): implicitization cost grows quickly, and the point of
-the oracle is independent spot checks, not sweeps.
+Every series product is one integer product (Kronecker substitution,
+as in Harvey, J. Symb. Comp. 44, 2009): a series becomes one Python int
+at t = 2^(8w), w bytes per coefficient, enough for a proven bound on
+the result's coefficients plus a sign bit, and the digits are read
+back exactly.  So the cost depends on the size of the packed integers,
+about n * conductor slots of O(n * log ||y||_1) bits each for the
+powers y(t)^i and for F(t^n, y(t)), and not on the product of the term
+counts.  The oracle is still restricted to desk scale (n <= 10,
+conductor <= 120): its point is independent spot checks, not sweeps.
 """
 
 from __future__ import annotations
@@ -48,6 +54,80 @@ __all__ = [
 
 MAX_MULTIPLICITY = 10
 MAX_CONDUCTOR = 120
+
+
+def _slot_bytes(bound: int) -> int:
+    """Bytes w per slot such that every digit c with |c| <= bound has
+    |c| < 2^(8w - 1): the bound's bits and a sign bit."""
+    return bound.bit_length() // 8 + 1
+
+
+def _pack(coeffs: dict[int, int], w: int, lo: int = 0, stride: int = 1) -> int:
+    """The integer sum of c * 2^(8w * stride * (e - lo)) over the
+    terms c*t^e of a nonempty series, lo <= e; every |c| must be below
+    2^(8w - 1).
+
+    Each coefficient is written into its slot plus half a slot, so the
+    slots are nonnegative bytes, and the same bias is subtracted once."""
+    half = 1 << (8 * w - 1)
+    zero = half.to_bytes(w, "little")
+    length = (max(coeffs) - lo) * stride + 1
+    slots = [zero] * length
+    for e, c in coeffs.items():
+        slots[(e - lo) * stride] = (c + half).to_bytes(w, "little")
+    return int.from_bytes(b"".join(slots), "little") - int.from_bytes(
+        zero * length, "little"
+    )
+
+
+def _unpack(
+    V: int, w: int, top: int | None = None, base: int = 0, start: int = 0, step: int = 1
+) -> dict[int, int]:
+    """The nonzero digits c_i of V = sum of c_i * 2^(8w * i) at the slots
+    i = start, start + step, ... below top, keyed base, base + 1, ...
+
+    Exact when every |c_i| < 2^(8w - 1) for i below top: adding half a
+    slot to every slot makes each digit a plain byte string, and the
+    digits at and above top only add a multiple of 2^(8w * top)."""
+    s = 8 * w
+    count = V.bit_length() // s + 1
+    if top is not None:
+        count = max(0, min(count, top))
+    half = 1 << (s - 1)
+    zero = half.to_bytes(w, "little")
+    size = count * w
+    biased = (V + int.from_bytes(zero * count, "little")) & ((1 << 8 * size) - 1)
+    buf = biased.to_bytes(size, "little")
+    digits = [buf[at:at + w] for at in range(start * w, size, step * w)]
+    return {
+        base + k: int.from_bytes(d, "little") - half
+        for k, d in enumerate(digits)
+        if d != zero
+    }
+
+
+def _dot(
+    pairs: list[tuple[dict[int, int], dict[int, int]]], top: int | None = None
+) -> dict[int, int]:
+    """Coefficients of the sum of the products a*b over pairs of
+    coefficient dicts, below top when given: one integer product per
+    pair, summed, and the digits read back once.
+
+    The slot holds the sum over pairs of min(#a, #b)*|a|_max*|b|_max,
+    which bounds every coefficient of the sum (and of every factor)."""
+    pairs = [(a, b) for a, b in pairs if a and b]
+    if not pairs:
+        return {}
+    w = _slot_bytes(sum(
+        min(len(a), len(b)) * max(map(abs, a.values())) * max(map(abs, b.values()))
+        for a, b in pairs
+    ))
+    lows = [(min(a), min(b)) for a, b in pairs]
+    lo = min(la + lb for la, lb in lows)
+    total = 0
+    for (a, b), (la, lb) in zip(pairs, lows):
+        total += (_pack(a, w, la) * _pack(b, w, lb)) << (8 * w * (la + lb - lo))
+    return _unpack(total, w, None if top is None else top - lo, lo)
 
 
 class TruncSeries:
@@ -84,14 +164,11 @@ class TruncSeries:
         return TruncSeries(out, self._merge_trunc(self.trunc, other.trunc))
 
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
+        """Exact product by Kronecker substitution: both factors become
+        integers at t = 2^(8w), one integer product, and its digits are
+        read back below the truncation (see _dot)."""
         trunc = self._merge_trunc(self.trunc, other.trunc)
-        out: dict[int, int] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                if trunc is None or e < trunc:
-                    out[e] = out.get(e, 0) + c1 * c2
-        return TruncSeries(out, trunc)
+        return TruncSeries(_dot([(self.coeffs, other.coeffs)], trunc), trunc)
 
     def order(self) -> int | None:
         """Lowest exponent with a nonzero coefficient; None when there is
@@ -156,26 +233,30 @@ def implicitize(n: int, phi: TruncSeries) -> tuple[TruncSeries, ...]:
         raise ValueError("parametrization must have positive order")
     if n < 2:
         raise ValueError(f"multiplicity must be at least 2, got {n}")
+    # ||phi^i||_inf <= ||phi||_1^i, so one slot width serves every power;
+    # phi = t^m * psi, and power = psi^i at t = 2^(8w)
+    m = phi.order()
+    w = _slot_bytes(sum(map(abs, phi.coeffs.values())) ** n)
+    psi = _pack(phi.coeffs, w, m)
+    span = max(phi.coeffs) - m
     # power_sums[i] = tr(phi^i) and coeffs[k] multiplies y^{n-k}, both in x
-    power_sums = [TruncSeries({0: n})]
-    power = TruncSeries({0: 1})
-    for _ in range(n):
-        power = power * phi
-        power_sums.append(TruncSeries(
-            {d // n: n * c for d, c in power.coeffs.items() if d % n == 0}
-        ))
-    coeffs = [TruncSeries({0: 1})]
+    power_sums = [{0: n}]
+    power = 1
+    for i in range(1, n + 1):
+        power *= psi
+        start = -i * m % n  # first slot j with n | i*m + j
+        traces = _unpack(power, w, i * span + 1, (i * m + start) // n, start, n)
+        power_sums.append({e: n * c for e, c in traces.items()})
+    coeffs = [{0: 1}]
     for k in range(1, n + 1):
-        acc = TruncSeries({})
-        for i in range(1, k + 1):
-            acc = acc + coeffs[k - i] * power_sums[i]
+        acc = _dot([(coeffs[k - i], power_sums[i]) for i in range(1, k + 1)])
         quotient: dict[int, int] = {}
-        for e, c in acc.coeffs.items():
+        for e, c in acc.items():
             quotient[e], r = divmod(-c, k)
             if r:
                 raise TheoremViolation("Newton identity division not exact")
-        coeffs.append(TruncSeries(quotient))
-    F = tuple(reversed(coeffs))
+        coeffs.append(quotient)
+    F = tuple(TruncSeries(c) for c in reversed(coeffs))
 
     residue = evaluate_on_parametrization(F, n, phi)
     if residue.coeffs:
@@ -190,14 +271,33 @@ def implicitize(n: int, phi: TruncSeries) -> tuple[TruncSeries, ...]:
 def evaluate_on_parametrization(
     F: tuple[TruncSeries, ...], n: int, phi: TruncSeries, trunc: int | None = None
 ) -> TruncSeries:
-    """F(t^n, phi(t)) as a series in t, optionally truncated for speed,
-    by Horner's rule over the y-coefficients of F."""
-    result = TruncSeries({}, trunc)
+    """F(t^n, phi(t)) as a series in t, exact, by Horner's rule over the
+    y-coefficients of F on one packed integer (see _horner).  An exact
+    zero is one slot to read; otherwise the digits are read back, only
+    below ``trunc`` (merged with phi's) when given."""
+    trunc = TruncSeries._merge_trunc(trunc, phi.trunc)
+    V, w = _horner(F, n, phi)
+    return TruncSeries(_unpack(V, w, trunc), trunc)
+
+
+def _horner(F: tuple[TruncSeries, ...], n: int, phi: TruncSeries) -> tuple[int, int]:
+    """F(t^n, phi(t)) at t = 2^(8w) as one integer V, and the slot
+    width w in bytes.  Every coefficient of F(t^n, phi(t)) is at most
+    the sum over j of ||F[j]||_1 * ||phi||_1^j in absolute value, and
+    w holds that bound (and phi's own coefficients) with a sign bit.
+    phi must have no negative exponent."""
+    norm = sum(map(abs, phi.coeffs.values()))
+    w = _slot_bytes(norm + sum(
+        sum(map(abs, Fj.coeffs.values())) * norm**j for j, Fj in enumerate(F)
+    ))
+    m = phi.order() or 0
+    psi = _pack(phi.coeffs, w, m) if phi.coeffs else 0
+    V = 0
     for Fj in reversed(F):
-        result = result * phi + TruncSeries(
-            {n * i: c for i, c in Fj.coeffs.items()}, trunc
-        )
-    return result
+        V = (V * psi) << (8 * w * m)
+        if Fj.coeffs:
+            V += _pack(Fj.coeffs, w, 0, n)
+    return V, w
 
 
 def polar_poly(F: tuple[TruncSeries, ...], a: int, b: int) -> tuple[TruncSeries, ...]:
@@ -292,14 +392,16 @@ def verify_class(E: EqClass, seed: int | None = None, retries: int = 5) -> Serie
 def _order_along(
     P: tuple[TruncSeries, ...], n: int, phi: TruncSeries, expected: int
 ) -> int:
-    """Vanishing order of P along (t^n, phi(t)); exact despite truncation
-    because the truncation window is widened until a term shows up."""
-    trunc = expected + n + 4
-    for _ in range(4):
-        order = evaluate_on_parametrization(P, n, phi, trunc).order()
-        if order is not None:
-            return order
-        trunc *= 2
-    raise TheoremViolation(
-        "polar vanishes along the branch far beyond the expected order"
-    )
+    """Vanishing order of P along (t^n, phi(t)), read off the packed
+    value V = P(2^(8wn), phi(2^(8w))) with no unpacking: the lowest
+    nonzero digit c is below 2^(8w - 1) in absolute value, so it is
+    never a multiple of 2^(8w), and the lowest set bit of V lies in its
+    slot.  An order at or above 8 * (expected + n + 4), or none at all,
+    is a TheoremViolation."""
+    V, w = _horner(P, n, phi)
+    order = ((V & -V).bit_length() - 1) // (8 * w)
+    if not V or order >= 8 * (expected + n + 4):
+        raise TheoremViolation(
+            "polar vanishes along the branch far beyond the expected order"
+        )
+    return order

@@ -2,10 +2,12 @@
 
 import hashlib
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from polarfactor import cluster
+from polarfactor import __version__, cluster
 from polarfactor.cli import build_parser, main, parse_class_spec
 from polarfactor.cluster import singularity_cluster
 from polarfactor.eqclass import InvalidClassError, enumerate_classes, validate
@@ -246,6 +248,16 @@ def test_scan_tsv_and_json(capsys):
     doc = json.loads(out)
     assert doc["predicate"] == "genus-drop"
     assert {"class": "8:12,14,15", "lambda": 1, "max_branch_genus": 2} in doc["hits"]
+
+
+def test_version_is_the_project_version(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == f"polarfactor {__version__}\n"
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    declared = re.search(r'^version = "([^"]+)"$', pyproject, re.M)[1]
+    assert declared == __version__ == "0.1.0"
 
 
 def test_parser_is_built_once_and_survives_an_error(capsys):
