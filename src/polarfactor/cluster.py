@@ -139,13 +139,22 @@ def singularity_cluster(E: EqClass) -> Cluster:
     counts: list[int] = []
     steps: list[int] = []
     for k in range(1, E.genus + 1):
-        exp = block_expansion(E, k)
-        ladder = normalize_even(exp.quotients)
-        divisors = exp.row_values()
-        runs += (divisors + divisors[-1:])[: len(ladder)]
-        counts += ladder
-        steps += range(len(ladder))
+        block = _block(E, k)
+        runs += block[0]
+        counts += block[1]
+        steps += block[2]
     return Cluster(E, tuple(runs), tuple(counts), tuple(steps))
+
+
+def _block(E: EqClass, k: int) -> tuple[tuple[int, ...], tuple[int, ...], range]:
+    """The runs, counts and steps of block k of singularity_cluster(E).
+    They read only (n; m_1, ..., m_k), so every class with that prefix
+    has the same block k."""
+    exp = block_expansion(E, k)
+    ladder = normalize_even(exp.quotients)
+    divisors = exp.row_values()
+    runs = (divisors + divisors[-1:])[: len(ladder)]
+    return runs, ladder, range(len(ladder))
 
 
 def polar_cluster(E: EqClass) -> Cluster:
@@ -157,9 +166,13 @@ def polar_cluster(E: EqClass) -> Cluster:
     odd last row's terminal point a segment of its own), so every
     block's terminal reads e_k - 1 with no special case.
     """
-    base = singularity_cluster(E)
+    return _polar(singularity_cluster(E))
+
+
+def _polar(base: Cluster) -> Cluster:
+    """polar_cluster on the support of a given curve cluster."""
     runs = tuple(v if a % 2 else v - 1 for v, a in zip(base.runs, base.steps))
-    return Cluster(E, runs, base.counts, base.steps)
+    return Cluster(base.eqclass, runs, base.counts, base.steps)
 
 
 def noether_sum(

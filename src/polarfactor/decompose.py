@@ -24,7 +24,7 @@ from itertools import repeat
 from typing import Iterator, NamedTuple
 
 from .arith import convergent, forced_remainders, normalize_even
-from .cluster import singularity_cluster
+from .cluster import Cluster, singularity_cluster
 from .eqclass import (
     EqClass,
     InvalidClassError,
@@ -140,45 +140,55 @@ def decompose(E: EqClass) -> PolarDecomposition:
     Postconditions cross-checked on every call: package multiplicities
     match the descent-chain closed form and sum to n - 1.
     """
+    packages = tuple([_package(E, k) for k in range(1, E.genus + 1)])
+    wrong = _total_mismatch(E, sum(pkg.multiplicity for pkg in packages))
+    if wrong:
+        raise TheoremViolation(wrong)
+    return PolarDecomposition(E, packages)
+
+
+def _total_mismatch(E: EqClass, total: int) -> str | None:
+    """Why ``total``, the summed package multiplicities of E's polar, is
+    not n - 1, or None when it is."""
+    if total == E.multiplicity - 1:
+        return None
+    return f"polar of {E} has multiplicity {total} != n - 1"
+
+
+def _package(E: EqClass, k: int) -> PolarPackage:
+    """Package k of decompose(E), its multiplicity checked against the
+    descent-chain closed form.  It reads only (n; m_1, ..., m_k), so it
+    is the same for every class with that prefix."""
     n = E.multiplicity
-    packages: list[PolarPackage] = []
-    for k in range(1, E.genus + 1):
-        e_prev = E.gcds[k - 1]
-        scale = n // e_prev
-        hn = normalize_even(block_expansion(E, k).quotients)
-        gap_below = hn[0] == 0
-        m_prev = E.exponent(k - 1)
-        types: list[PolarBranch] = []
-        for i in range(1, len(hn) // 2 + 1):
-            p, q = convergent(hn, 2 * i - 1)
-            exps = (
-                p * scale,
-                *(p * E.exponent(w) // e_prev for w in range(1, k)),
-                p * m_prev // e_prev + q,
-            )
-            if exps[0] == 1:
-                canonical = None  # smooth: p = 1 in package 1
-            else:
-                try:
-                    canonical = canonicalize_exponents(exps[0], exps[1:])
-                except InvalidClassError as exc:
-                    raise TheoremViolation(f"branch {exps} of {E}: {exc}") from exc
-            types.append(
-                PolarBranch(k, i, hn[2 * i], p, q, gap_below, exps, canonical)
-            )
-        mult = sum(t.copies * t.multiplicity for t in types)
-        expected = scale * (E.descents[k - 1] - 1)
-        if mult != expected:
-            raise TheoremViolation(
-                f"package {k} of {E}: constructed multiplicity {mult} != "
-                f"descent-chain value {expected}"
-            )
-        quotient = polar_quotient(E, k)
-        packages.append(PolarPackage(k, tuple(types), mult, quotient))
-    total = sum(pkg.multiplicity for pkg in packages)
-    if total != n - 1:
-        raise TheoremViolation(f"polar of {E} has multiplicity {total} != n - 1")
-    return PolarDecomposition(E, tuple(packages))
+    e_prev = E.gcds[k - 1]
+    scale = n // e_prev
+    hn = normalize_even(block_expansion(E, k).quotients)
+    gap_below = hn[0] == 0
+    m_prev = E.exponent(k - 1)
+    types: list[PolarBranch] = []
+    for i in range(1, len(hn) // 2 + 1):
+        p, q = convergent(hn, 2 * i - 1)
+        exps = (
+            p * scale,
+            *(p * E.exponent(w) // e_prev for w in range(1, k)),
+            p * m_prev // e_prev + q,
+        )
+        if exps[0] == 1:
+            canonical = None  # smooth: p = 1 in package 1
+        else:
+            try:
+                canonical = canonicalize_exponents(exps[0], exps[1:])
+            except InvalidClassError as exc:
+                raise TheoremViolation(f"branch {exps} of {E}: {exc}") from exc
+        types.append(PolarBranch(k, i, hn[2 * i], p, q, gap_below, exps, canonical))
+    mult = sum(t.copies * t.multiplicity for t in types)
+    expected = scale * (E.descents[k - 1] - 1)
+    if mult != expected:
+        raise TheoremViolation(
+            f"package {k} of {E}: constructed multiplicity {mult} != "
+            f"descent-chain value {expected}"
+        )
+    return PolarPackage(k, tuple(types), mult, polar_quotient(E, k))
 
 
 def require_member(E: EqClass, b: PolarBranch) -> PolarDecomposition:
@@ -239,9 +249,18 @@ def branch_trace(E: EqClass, b: PolarBranch) -> Trace:
     previous block's terminal.
     """
     require_member(E, b)
-    C = singularity_cluster(E)
+    return _trace(singularity_cluster(E), b)
+
+
+def _trace(C: Cluster, b: PolarBranch) -> Trace:
+    """branch_trace of b, a branch type of C's class, read off C, which
+    needs to hold only blocks 1..k of b's package k: the trace reads
+    nothing beyond them."""
+    E = C.eqclass
     e_prev = E.gcds[b.package - 1]
-    start = [i for i, a in enumerate(C.steps) if a == 0][b.package - 1]
+    start = -1
+    for _ in range(b.package):
+        start = C.steps.index(0, start + 1)
     values: list[int] = []
     for v in C.runs[:start]:
         scaled, rem = divmod(v * b.p, e_prev)

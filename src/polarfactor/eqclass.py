@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .arith import EuclidExpansion, euclid_expansion
 
@@ -240,3 +240,35 @@ def enumerate_classes(
 
     for n in range(2, max_n + 1):
         yield from extend(n, [], n)
+
+
+_Node = TypeVar("_Node")
+
+
+def _prefix_walk(
+    classes: Iterable[EqClass],
+    grow: Callable[[EqClass, int, _Node], _Node],
+    root: _Node,
+) -> Iterator[tuple[EqClass, _Node]]:
+    """Pair each class with the node of its prefix (n; m_1, ..., m_{r-1}).
+
+    ``grow(E, k, node)`` makes the node of E's prefix of length k from
+    the node of length k - 1 (``root`` for k = 1).  A node is made at the
+    first class below its prefix and kept while the next classes share
+    that prefix; in enumerate_classes' depth-first order they form one
+    contiguous run, so each prefix is grown once.  Any order is correct:
+    a prefix met again is grown again.
+    """
+    path = [root]  # path[k] is the node of the last class's prefix of length k
+    last: EqClass | None = None
+    for E in classes:
+        keep = 1
+        if last is not None and last.multiplicity == E.multiplicity:
+            limit = min(len(path), E.genus)
+            while keep < limit and last.exponents[keep - 1] == E.exponents[keep - 1]:
+                keep += 1
+        del path[keep:]
+        for k in range(len(path), E.genus):
+            path.append(grow(E, k, path[-1]))
+        yield E, path[-1]
+        last = E

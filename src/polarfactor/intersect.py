@@ -11,26 +11,39 @@ agree exactly:
 A disagreement is not a recoverable error — it means a formula or the
 construction is wrong — so it raises TheoremViolation.  verify_classes
 runs the comparison exhaustively over an enumeration bound and is the
-engine behind the CLI's cluster verification mode.
+engine behind the CLI's cluster verification mode; it walks the
+enumeration tree, so what a prefix (n; m_1, ..., m_k) determines is
+derived and checked once for all the classes below it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable, Sequence
 
-from .cluster import check_proximity, noether_sum, polar_cluster, singularity_cluster
+from .cluster import (
+    Cluster,
+    _block,
+    _polar,
+    check_proximity,
+    noether_sum,
+    singularity_cluster,
+)
 from .decompose import (
     PolarBranch,
     Trace,
+    _package,
+    _total_mismatch,
+    _trace,
+    branch_count,
     branch_trace,
     decompose,
-    package_summary,
     require_member,
 )
 from .eqclass import (
     EqClass,
     TheoremViolation,
+    _prefix_walk,
     enumerate_classes,
     scaled_polar_quotient,
 )
@@ -114,6 +127,12 @@ def branch_vs_curve(E: EqClass, b: PolarBranch) -> int:
     p*n/e_{k-1} this is the integer p*v_k.
     """
     require_member(E, b)
+    return _branch_vs_curve(E, b)
+
+
+def _branch_vs_curve(E: EqClass, b: PolarBranch) -> int:
+    """branch_vs_curve for a branch type already known to come from
+    decompose(E)."""
     return b.p * E.semigroup[b.package]
 
 
@@ -148,7 +167,15 @@ def intersection_report(E: EqClass) -> IntersectionReport:
     D = decompose(E)
     types = list(D.types())
     traces = [branch_trace(E, t) for t in types]
-    closed, values, total = _checked_report(E, types, traces, _raise)
+    upper = [_checked_row(E, types, traces, g, 0, _raise) for g in range(len(types))]
+    closed = [
+        [row[g - h] for h, row in enumerate(upper[:g])] + upper[g]
+        for g in range(len(types))
+    ]
+    C = singularity_cluster(E)
+    values = [branch_vs_curve(E, t) for t in types]
+    _check_curve(E, (C.runs, C.counts), types, traces, values, _raise)
+    total = _checked_total(E, types, values, _raise)
     type_of = [g for g, t in enumerate(types) for _ in range(t.copies)]
     rows = []
     for g, t in enumerate(types):
@@ -159,55 +186,80 @@ def intersection_report(E: EqClass) -> IntersectionReport:
     return IntersectionReport(E, tuple(D.branches()), tuple(rows), with_curve, total)
 
 
-def _checked_report(
+# The checks of the closed forms against the Noether oracle, shared by
+# intersection_report and the sweep.  The types are decompose(E)'s own
+# (or the sweep's packages of E, the same types), so they skip
+# require_member.  A mismatch goes to ``fail(check, message, count)``,
+# with count the number of branch pairs (c*c' across types, c*(c-1)/2
+# within one) or branches it stands for.
+
+
+def _checked_row(
     E: EqClass,
-    types: list[PolarBranch],
-    traces: list[Trace],
+    types: Sequence[PolarBranch],
+    traces: Sequence[Trace],
+    g: int,
+    start: int,
     fail: Callable[[str, str, int], None],
-) -> tuple[list[list[int]], list[int], int]:
-    """The one closed-form-vs-Noether kernel behind intersection_report
-    and the sweep, over the branch types of decompose(E) in order and
-    one trace per type.  Each pair of types, and a type with itself when
-    it has two or more copies, gets one closed form and one Noether sum,
-    and each type one I(b, f) check.  A mismatch goes to
-    ``fail(check, message, count)`` once, with count the number of
-    branch pairs (c*c' across types, c*(c-1)/2 within one) or branches
-    it stands for, under the check name 'pair_oracle',
-    'branch_vs_curve' or 'grand_total'; the closed-form values are kept
-    whether or not ``fail`` returns.  Returns the closed forms per pair
-    of types, I(b, f) per type and the grand total over all branches.
-    The types are decompose(E)'s own, so pairs skip require_member.
+) -> list[int]:
+    """The one pair kernel: types[g] against each types[h], h >= g and
+    h >= start, in order.  Each pair of types, and a type with itself
+    when it has two or more copies, gets one closed form and one Noether
+    sum, checked under 'pair_oracle'.  Returns the closed forms (0 where
+    no pair exists), kept whether or not ``fail`` returns.  Rows
+    g = 0, 1, ... with start 0 cover every pair once; a larger start
+    leaves out the pairs among types[:start], checked already.
     """
-    cluster = singularity_cluster(E)
-    curve = (cluster.runs, cluster.counts)
-    closed = [[0] * len(types) for _ in types]
-    for g, t in enumerate(types):
-        for h in range(g, len(types)):
-            u = types[h]
-            pairs = t.copies * (t.copies - 1) // 2 if g == h else t.copies * u.copies
-            if not pairs:
-                continue
-            value = closed[g][h] = closed[h][g] = _pair_intersection(E, t, u)
-            oracle = noether_sum(traces[g], traces[h])
-            if value != oracle:
-                fail(
-                    "pair_oracle",
-                    f"pair ({t}, {u}) of {E}: "
-                    f"closed form {value} != Noether oracle {oracle}",
-                    pairs,
-                )
-    with_curve = []
-    for t, tr in zip(types, traces):
-        value = branch_vs_curve(E, t)
-        expected = noether_sum(tr, curve)
+    t = types[g]
+    row = []
+    for h in range(max(g, start), len(types)):
+        u = types[h]
+        pairs = t.copies * (t.copies - 1) // 2 if g == h else t.copies * u.copies
+        if not pairs:
+            row.append(0)
+            continue
+        value = _pair_intersection(E, t, u)
+        oracle = noether_sum(traces[g], traces[h])
+        if value != oracle:
+            fail(
+                "pair_oracle",
+                f"pair ({t}, {u}) of {E}: "
+                f"closed form {value} != Noether oracle {oracle}",
+                pairs,
+            )
+        row.append(value)
+    return row
+
+
+def _check_curve(
+    E: EqClass,
+    curve: tuple[Sequence[int], Sequence[int]],
+    types: Sequence[PolarBranch],
+    traces: Sequence[Trace],
+    values: Sequence[int],
+    fail: Callable[[str, str, int], None],
+) -> None:
+    """I(b, f) = values[i] for the copies of types[i] against the Noether
+    sum of its trace with the curve's runs, under 'branch_vs_curve'."""
+    for t, trace, value in zip(types, traces, values):
+        expected = noether_sum(trace, curve)
         if value != expected:
             fail(
                 "branch_vs_curve",
                 f"{t} against {E}: closed form {value} != oracle {expected}",
                 t.copies,
             )
-        with_curve.append(value)
-    total = sum(t.copies * value for t, value in zip(types, with_curve))
+
+
+def _checked_total(
+    E: EqClass,
+    types: Sequence[PolarBranch],
+    values: Sequence[int],
+    fail: Callable[[str, str, int], None],
+) -> int:
+    """I(f, P(f)) over all branches, from I(b, f) per type, against
+    mu + n - 1, under 'grand_total'."""
+    total = sum(t.copies * value for t, value in zip(types, values))
     if total != E.milnor + E.multiplicity - 1:
         fail(
             "grand_total",
@@ -215,7 +267,7 @@ def _checked_report(
             f"{E.milnor + E.multiplicity - 1}",
             1,
         )
-    return closed, with_curve, total
+    return total
 
 
 @dataclass
@@ -276,67 +328,224 @@ def verify_classes(
 
     Everything is accumulated rather than raised so a single bad
     identity yields a usable report; see SweepReport.
+
+    Blocks and packages 1..k of a class depend only on its prefix
+    (n; m_1, ..., m_k).  The sweep walks enumerate_classes' tree and
+    derives and checks them once per prefix: its blocks, branch types,
+    their traces, I(b, f), genus and quotient checks, and every pair of
+    types in packages <= k.  Per class only block r, package r, the pairs
+    that touch it and the checks of the whole class run.  A failure found
+    at a prefix is recorded again for every class below it, with the
+    same count and the class's own name, in the order of the checks of
+    one class, so every count is the one of a class-by-class sweep.
     """
+    return _sweep(enumerate_classes(max_n, max_last_exponent, max_genus), progress)
+
+
+def _sweep(
+    classes: Iterable[EqClass], progress: Callable[[int], None] | None = None
+) -> SweepReport:
+    """verify_classes over the given classes, in their order."""
     report = SweepReport()
-    for E in enumerate_classes(max_n, max_last_exponent, max_genus):
+    for E, below in _prefix_walk(classes, _level, _ROOT):
         report.classes += 1
         if progress is not None and report.classes % 20000 == 0:
             progress(report.classes)
-        try:
-            _verify_one(E, report)
-        except TheoremViolation as exc:
-            report.record("internal", f"{E}: {exc}")
+        _level(E, E.genus, below).record(E, report)
     return report
 
 
-def _verify_one(E: EqClass, report: SweepReport) -> None:
-    curve = singularity_cluster(E)
-    polar = polar_cluster(E)
-    size = len(curve)
-    report.points += size
+# The checks of one class run in this order of stages; a check's position
+# is (stage, row, level), where the row counts only in the pair stage and
+# level k holds block k and package k.  Stages marked * run at the class's
+# last level only.
+(
+    BLOCK,  # block k of the cluster
+    CLUSTER,  # * support, proximity of curve and polar, sum of squared values
+    PACKAGE,  # package k
+    TOTAL,  # * package multiplicities sum to n - 1
+    SUMMARY,  # branch count of package k by the closed form
+    COUNT,  # ... against the package's copies
+    TRACE,  # traces of the types of package k
+    SHARP,  # each trace on the cluster's segments; * their sum is the polar
+    PAIRS,  # row g: types[g] against the types of package k
+    CURVE,  # I(b, f) of the types of package k
+    GRAND,  # * the grand total
+    GENUS,  # genus and polar quotient of the types of package k
+) = range(12)
+_NEVER = (GENUS + 1,)
 
-    if polar.counts is not curve.counts or polar.steps is not curve.steps:
-        report.record("support", f"{E}: polar support rebuilt, not shared")
-    prox = check_proximity(curve)
-    if prox.deficits or prox.strict != (size - 1,):
-        report.record(
-            "curve_proximity",
-            f"{E}: deficits {prox.deficits}, strict {prox.strict}",
-        )
-    if not check_proximity(polar).ok:
-        report.record("polar_proximity", f"{E}: polar valuations inconsistent")
-    sq = sum(h * v * v for v, h in zip(curve.runs, curve.counts))
-    if sq != scaled_polar_quotient(E, E.genus):
-        report.record("value_square_sum", f"{E}: sum v^2 = {sq}")
 
-    D = decompose(E)
-    for pkg, s in zip(D.packages, package_summary(E)):
-        if sum(t.copies for t in pkg.types) != s.branches:
-            report.record("package_summary", f"{E}: package {pkg.index}")
+class _Level:
+    """Blocks 1..k, packages 1..k and their checks, for every class below
+    one prefix (n; m_1, ..., m_k); made by _level at the first such class.
+    The class attributes are those of the empty prefix, k = 0.
 
-    types = list(D.types())
-    branches = sum(t.copies for t in types)
-    report.branches += branches
-    report.pairs += branches * (branches - 1) // 2
-    traces = [branch_trace(E, t) for t in types]
+    ``events`` lists every failure found on levels 1..k in the order of
+    their positions, as (position, check, message, count, class), with
+    check None for a TheoremViolation raised there; ``halt`` is the
+    position of the first raise, at and after which nothing runs.
+    """
 
-    aggregate = [0] * len(polar.runs)
+    k = 0
+    halt = _NEVER
+    events: Sequence[tuple] = ()
+    runs: tuple[int, ...] = ()
+    counts: tuple[int, ...] = ()
+    steps: tuple[int, ...] = ()
+    types: tuple[PolarBranch, ...] = ()
+    traces: tuple[Trace, ...] = ()
+    with_curve: tuple[int, ...] = ()
+    aggregate: tuple[int, ...] = ()
+    multiplicity = 0
+
+    def __init__(self, k: int = 0, up: _Level | None = None) -> None:
+        if up is not None:
+            self.__dict__.update(up.__dict__)
+        self.k = k
+
+    def at(self, stage: int, row: int = 0) -> bool:
+        """Move to a check's position; False once a raise came before it."""
+        self.key = (stage, row, self.k)
+        return self.key < self.halt
+
+    def record(self, E: EqClass, report: SweepReport) -> None:
+        """Add the last level of class E to the report: its points once
+        every block is built, its branches and pairs once every package
+        and branch count is, and each failure up to the first raise.  A
+        prefix's checks read nothing of a class but the prefix, so the
+        message E would give differs from the one found only in the name
+        of the class."""
+        if self.halt[0] > BLOCK:
+            report.points += sum(self.counts)
+        if self.halt[0] > SUMMARY:
+            branches = sum(t.copies for t in self.types)
+            report.branches += branches
+            report.pairs += branches * (branches - 1) // 2
+        for _, check, message, count, found in self.events:
+            if found is not E:
+                message = message.replace(str(found), str(E))
+            if check is None:
+                report.record("internal", f"{E}: {message}")
+                return
+            report.record(check, message, count)
+
+
+_ROOT = _Level()
+
+
+def _level(E: EqClass, k: int, up: _Level) -> _Level:
+    """Level k of class E on top of level k - 1; at k = E.genus, the
+    whole class."""
+    lv = _Level(k, up)
+    found: list[tuple] = []
+
+    def fail(check: str | None, message: str, count: int = 1) -> None:
+        found.append((lv.key, check, message, count, E))
+
+    try:
+        _check_level(E, k, lv, fail)
+    except TheoremViolation as exc:
+        fail(None, str(exc))
+        lv.halt = lv.key
+    if found:
+        lv.events = sorted((*lv.events, *found), key=lambda event: event[0])
+    return lv
+
+
+def _check_level(
+    E: EqClass, k: int, lv: _Level, fail: Callable[..., None]
+) -> None:
+    """Extend lv by block k and package k of E and run their checks,
+    stopping before the first position at or after lv.halt."""
+    n = E.multiplicity
+    whole = k == E.genus
+    if not lv.at(BLOCK):
+        return
+    runs, counts, steps = _block(E, k)
+    lv.runs += runs
+    lv.counts += counts
+    lv.steps += tuple(steps)
+    curve = Cluster(E, lv.runs, lv.counts, lv.steps)
+    if whole:
+        if not lv.at(CLUSTER):
+            return
+        polar = _polar(curve)
+        size = len(curve)
+        if polar.counts is not curve.counts or polar.steps is not curve.steps:
+            fail("support", f"{E}: polar support rebuilt, not shared")
+        prox = check_proximity(curve)
+        if prox.deficits or prox.strict != (size - 1,):
+            fail(
+                "curve_proximity",
+                f"{E}: deficits {prox.deficits}, strict {prox.strict}",
+            )
+        if not check_proximity(polar).ok:
+            fail("polar_proximity", f"{E}: polar valuations inconsistent")
+        sq = sum(h * v * v for v, h in zip(curve.runs, curve.counts))
+        if sq != scaled_polar_quotient(E, E.genus):
+            fail("value_square_sum", f"{E}: sum v^2 = {sq}")
+
+    if not lv.at(PACKAGE):
+        return
+    pkg = _package(E, k)
+    types = pkg.types
+    start = len(lv.types)
+    lv.types += types
+    lv.multiplicity += pkg.multiplicity
+    if whole:
+        if not lv.at(TOTAL):
+            return
+        wrong = _total_mismatch(E, lv.multiplicity)
+        if wrong:
+            fail("total_multiplicity", wrong)
+    if not lv.at(SUMMARY):
+        return
+    branches = branch_count(E, k)
+    if not lv.at(COUNT):
+        return
+    if sum(t.copies for t in types) != branches:
+        fail("package_summary", f"{E}: package {k}")
+
+    if not lv.at(TRACE):
+        return
+    traces = tuple(_trace(curve, t) for t in types)
+    lv.traces += traces
+
+    if not lv.at(SHARP):
+        return
+    aggregate = [*lv.aggregate, *[0] * (len(lv.runs) - len(lv.aggregate))]
     for t, tr in zip(types, traces):
-        if tr.counts != polar.counts[: len(tr.counts)]:
-            report.record("sharp_pass", f"{E}: trace segments {tr.counts}", t.copies)
+        if tr.counts != lv.counts[: len(tr.counts)]:
+            fail("sharp_pass", f"{E}: trace segments {tr.counts}", t.copies)
             continue
         for i, v in enumerate(tr.values):
             aggregate[i] += t.copies * v
-    if tuple(aggregate) != polar.runs:
-        report.record(
-            "sharp_pass", f"{E}: trace sum {tuple(aggregate)} != {polar.runs}"
-        )
+    lv.aggregate = tuple(aggregate)
+    if whole and lv.aggregate != polar.runs:
+        fail("sharp_pass", f"{E}: trace sum {lv.aggregate} != {polar.runs}")
 
-    _, with_curve, _ = _checked_report(E, types, traces, report.record)
-    for t, closed in zip(types, with_curve):
+    for g in range(len(lv.types)):
+        if not lv.at(PAIRS, g):
+            return
+        _checked_row(E, lv.types, lv.traces, g, start, fail)
+
+    if not lv.at(CURVE):
+        return
+    values = [_branch_vs_curve(E, t) for t in types]
+    _check_curve(E, (lv.runs, lv.counts), types, traces, values, fail)
+    lv.with_curve += tuple(values)
+    if whole:
+        if not lv.at(GRAND):
+            return
+        _checked_total(E, lv.types, lv.with_curve, fail)
+
+    if not lv.at(GENUS):
+        return
+    for t, closed in zip(types, values):
         expected_genus = t.package if t.p > 1 else t.package - 1
         if t.genus != expected_genus:
-            report.record("genus_bounds", f"{E}: {t} has genus {t.genus}", t.copies)
+            fail("genus_bounds", f"{E}: {t} has genus {t.genus}", t.copies)
         quotient = scaled_polar_quotient(E, t.package)
-        if closed * E.multiplicity != t.multiplicity * quotient:
-            report.record("quotient_ratio", f"{E}: {t}", t.copies)
+        if closed * n != t.multiplicity * quotient:
+            fail("quotient_ratio", f"{E}: {t}", t.copies)

@@ -1,17 +1,25 @@
 """Genus-drop and smooth-polar predicates, formula vs construction."""
 
+import sys
 from math import gcd
 
 import pytest
 
 from polarfactor.classify import (
+    ScanHit,
     genus_drop,
     genus_drop_lambda,
     max_branch_genus,
     scan,
     smooth_scan_pairs,
 )
-from polarfactor.eqclass import InvalidClassError, validate
+from polarfactor.decompose import decompose
+from polarfactor.eqclass import (
+    InvalidClassError,
+    TheoremViolation,
+    enumerate_classes,
+    validate,
+)
 
 
 def smooth_polar(n: int, m: int) -> bool:
@@ -89,3 +97,42 @@ def test_scan_smooth_predicate_restricts_to_genus_one():
     assert all(h.eqclass.genus == 1 for h in hits)
     assert all(h.max_genus_of_branches == 0 for h in hits)
     assert list(scan(4, 9, 0)) == []
+
+
+def test_scan_equals_the_class_by_class_reference():
+    # Reference: the closed form and the full decomposition of each class.
+    want = [
+        ScanHit(E, genus_drop_lambda(E), max_branch_genus(E))
+        for E in enumerate_classes(16, 60)
+        if genus_drop(E)
+    ]
+    assert len(want) == 3532
+    assert list(scan(16, 60)) == want
+
+
+def test_a_fault_in_a_prefix_package_stops_the_scan(monkeypatch):
+    # Branch classes refused only while a package below the last one is
+    # built: the scan must still raise.
+    module = sys.modules["polarfactor.decompose"]
+    right = module.canonicalize_exponents
+    package = module._package
+    seen = []
+
+    def prefix_only(E, k):
+        if k == E.genus:
+            return package(E, k)
+        seen.append(E)
+        monkeypatch.setattr(module, "canonicalize_exponents", lambda n, xs: right(n, xs[:-1]))
+        try:
+            return package(E, k)
+        finally:
+            monkeypatch.setattr(module, "canonicalize_exponents", right)
+
+    monkeypatch.setattr(module, "_package", prefix_only)
+    decompose.cache_clear()
+    try:
+        with pytest.raises(TheoremViolation, match="branch"):
+            list(scan(16, 60))
+    finally:
+        decompose.cache_clear()
+    assert seen and seen[-1].genus > 1

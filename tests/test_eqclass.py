@@ -2,12 +2,14 @@
 
 from dataclasses import replace
 from fractions import Fraction
+from itertools import groupby
 
 import pytest
 
 from polarfactor.eqclass import (
     InvalidClassError,
     TheoremViolation,
+    _prefix_walk,
     block_expansion,
     canonicalize_exponents,
     enumerate_classes,
@@ -185,3 +187,42 @@ def test_theorem_violation_is_not_invalid_input():
     assert issubclass(InvalidClassError, ValueError)
     assert issubclass(TheoremViolation, RuntimeError)
     assert not issubclass(TheoremViolation, InvalidClassError)
+
+
+@pytest.mark.parametrize("box", [(16, 60), (32, 66)])
+def test_each_prefix_is_one_run_of_the_enumeration_and_grown_once(box):
+    # The sweep and the scan reuse a prefix's node while the next class
+    # shares it; in enumerate_classes' order that is every class below it.
+    classes = list(enumerate_classes(*box))
+    for k in range(1, max(E.genus for E in classes)):
+        keys = [(E.multiplicity, E.exponents[:k]) if E.genus > k else None for E in classes]
+        runs = [key for key, _ in groupby(keys) if key is not None]
+        assert len(runs) == len(set(runs)), k
+
+    grown = []
+
+    def grow(E, k, node):
+        assert node == ((E.multiplicity, E.exponents[: k - 1]) if k > 1 else None)
+        grown.append((E.multiplicity, E.exponents[:k]))
+        return grown[-1]
+
+    walked = [(E, node) for E, node in _prefix_walk(classes, grow, None)]
+    assert [E for E, _ in walked] == classes
+    assert all(node == ((E.multiplicity, E.exponents[:-1]) if E.genus > 1 else None)
+               for E, node in walked)
+    assert len(grown) == len(set(grown))
+    assert set(grown) == {
+        (E.multiplicity, E.exponents[:k]) for E in classes for k in range(1, E.genus)
+    }
+
+
+def test_a_prefix_met_again_is_grown_again():
+    E, F = validate(4, [6, 7]), validate(8, [12, 14, 15])
+    grown = []
+
+    def grow(G, k, node):
+        grown.append((G.notation(), k))
+        return k
+
+    assert [k for _, k in _prefix_walk([E, F, E, E], grow, 0)] == [1, 2, 1, 1]
+    assert grown == [("4:6,7", 1), ("8:12,14,15", 1), ("8:12,14,15", 2), ("4:6,7", 1)]

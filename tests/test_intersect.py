@@ -2,6 +2,7 @@
 
 import itertools
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -11,6 +12,8 @@ from polarfactor.cluster import noether_sum, singularity_cluster
 from polarfactor.decompose import branch_trace, decompose
 from polarfactor.eqclass import TheoremViolation, enumerate_classes, validate
 from polarfactor.intersect import (
+    SweepReport,
+    _sweep,
     branch_vs_curve,
     intersection_report,
     oracle_pair_intersection,
@@ -169,13 +172,18 @@ def test_sweep_report_failure_bookkeeping():
     "closed_form, checks",
     [
         ("_pair_intersection", {"pair_oracle"}),
-        ("branch_vs_curve", {"branch_vs_curve", "grand_total"}),
+        pytest.param(
+            "_branch_vs_curve",
+            {"branch_vs_curve", "grand_total"},
+            id="branch_vs_curve-checks1",
+        ),
     ],
 )
 def test_an_off_by_one_closed_form_is_caught(monkeypatch, closed_form, checks):
     # Both entry points must notice a wrong closed form, under the check
-    # names the acceptance criteria look up.  The pair loop calls the
-    # unchecked _pair_intersection that pair_intersection wraps.
+    # names the acceptance criteria look up.  The checks call the
+    # unchecked _pair_intersection and _branch_vs_curve that
+    # pair_intersection and branch_vs_curve wrap.
     right = getattr(intersect, closed_form)
     monkeypatch.setattr(intersect, closed_form, lambda E, *bs: right(E, *bs) + 1)
     report = verify_classes(4, 9)
@@ -189,7 +197,12 @@ def test_an_off_by_one_closed_form_is_caught(monkeypatch, closed_form, checks):
     "closed_form, check, unit",
     [
         ("_pair_intersection", "pair_oracle", "pairs"),
-        ("branch_vs_curve", "branch_vs_curve", "branches"),
+        pytest.param(
+            "_branch_vs_curve",
+            "branch_vs_curve",
+            "branches",
+            id="branch_vs_curve-branch_vs_curve-branches",
+        ),
     ],
 )
 def test_failures_are_counted_per_branch_pair_not_per_copy_group(
@@ -229,14 +242,18 @@ def test_the_kernel_checks_each_branch_once_per_entry_point(monkeypatch):
 
 def test_a_trace_count_off_by_one_is_caught(monkeypatch):
     # A trace cut into other segments than the cluster's must not be
-    # summed: noether_sum raises, and the sweep records it.
-    right = intersect.branch_trace
+    # summed: noether_sum raises, and the sweep records it.  The report
+    # takes traces from branch_trace, the sweep from _trace on the
+    # cluster it builds.
+    def shifted(right):
+        def shifted(*args):
+            trace = right(*args)
+            return trace._replace(counts=(*trace.counts[:-1], trace.counts[-1] + 1))
 
-    def shifted(E, b):
-        trace = right(E, b)
-        return trace._replace(counts=(*trace.counts[:-1], trace.counts[-1] + 1))
+        return shifted
 
-    monkeypatch.setattr(intersect, "branch_trace", shifted)
+    for name in ("branch_trace", "_trace"):
+        monkeypatch.setattr(intersect, name, shifted(getattr(intersect, name)))
     with pytest.raises(TheoremViolation, match="points against"):
         intersection_report(validate(8, [12, 14, 15]))
     report = verify_classes(4, 9)
@@ -259,12 +276,10 @@ def test_an_inexact_closed_form_division_names_the_class(monkeypatch):
 
 
 def test_a_wrong_branch_count_is_recorded(monkeypatch):
-    right = intersect.package_summary
-    monkeypatch.setattr(
-        intersect,
-        "package_summary",
-        lambda E: tuple(s._replace(branches=s.branches + 1) for s in right(E)),
-    )
+    # The sweep compares each package with branch_count, package_summary's
+    # branch count.
+    right = intersect.branch_count
+    monkeypatch.setattr(intersect, "branch_count", lambda E, k: right(E, k) + 1)
     report = verify_classes(4, 9)
     assert set(report.failures) == {"package_summary"}
     packages = sum(E.genus for E in enumerate_classes(4, 9))
@@ -320,3 +335,137 @@ def test_an_internal_input_error_is_a_theorem_violation(
     assert main(["verify", "cluster", "--max-n", "4", "--max-m", "9"]) == 1
     err = capsys.readouterr().err
     assert "verification failure" in err and "error:" not in err
+
+
+def class_by_class(classes):
+    """Reference: each class swept on its own, so no prefix is shared,
+    and the reports added up in order."""
+    total = SweepReport()
+    for E in classes:
+        one = _sweep([E])
+        for field in ("classes", "branches", "pairs", "points"):
+            setattr(total, field, getattr(total, field) + getattr(one, field))
+        for check, count in one.failures.items():
+            total.failures[check] = total.failures.get(check, 0) + count
+            bucket = total.examples.setdefault(check, [])
+            bucket += one.examples[check][: 5 - len(bucket)]
+    return total
+
+
+def _trace_off_by_one(monkeypatch):
+    right = intersect._trace
+
+    def shifted(C, b):
+        trace = right(C, b)
+        return trace._replace(counts=(*trace.counts[:-1], trace.counts[-1] + 1))
+
+    monkeypatch.setattr(intersect, "_trace", shifted)
+
+
+def _pair_off_by_one_in_package_1(monkeypatch):
+    right = intersect._pair_intersection
+    monkeypatch.setattr(
+        intersect,
+        "_pair_intersection",
+        lambda E, a, b: right(E, a, b) + (a.package == b.package == 1),
+    )
+
+
+def _quotient_off_by_one(monkeypatch):
+    right = intersect.scaled_polar_quotient
+    monkeypatch.setattr(
+        intersect, "scaled_polar_quotient", lambda E, k: right(E, k) + 1
+    )
+
+
+def _package_2_pairs_raise_after_a_wrong_1_3_pair(monkeypatch):
+    # Row by row, a wrong pair of packages 1 and 3 comes before the
+    # raising pairs of package 2 in a later row, and is recorded.
+    right = intersect._pair_intersection
+
+    def mixed(E, a, b):
+        if a.package == b.package == 2:
+            raise TheoremViolation(f"package 2 pair of {E}")
+        return right(E, a, b) + ({a.package, b.package} == {1, 3})
+
+    monkeypatch.setattr(intersect, "_pair_intersection", mixed)
+
+
+def _package_1_class_off(monkeypatch):
+    module = sys.modules["polarfactor.decompose"]
+    right = module.canonicalize_exponents
+    monkeypatch.setattr(
+        module,
+        "canonicalize_exponents",
+        lambda n, exps: right(n, exps[:-1] if len(exps) == 1 else exps),
+    )
+
+
+@pytest.mark.parametrize(
+    "inject, box, counts",
+    [
+        # each count is the one a class-by-class sweep records
+        (_pair_off_by_one_in_package_1, (8, 40),
+         (569, 1410, 1306, 6514, {"pair_oracle": 474})),
+        (_pair_off_by_one_in_package_1, (16, 60),
+         (4676, 15260, 21348, 69569, {"pair_oracle": 6667})),
+        # some shifted pairs still line up and are summed before one raises
+        (_trace_off_by_one, (8, 40),
+         (569, 1410, 1306, 6514,
+          {"internal": 569, "pair_oracle": 436, "sharp_pass": 1979})),
+        # recorded checks, then an inexact pair division
+        (_quotient_off_by_one, (8, 40),
+         (569, 1410, 1306, 6514,
+          {"internal": 506, "quotient_ratio": 63, "value_square_sum": 569})),
+        (_package_2_pairs_raise_after_a_wrong_1_3_pair, (16, 60),
+         (4676, 15260, 21348, 69569, {"internal": 862, "pair_oracle": 2145})),
+        # a raise in package 1 leaves the branches of the class uncounted
+        (_package_1_class_off, (8, 40),
+         (569, 1094, 1149, 6514, {"internal": 173})),
+    ],
+)
+def test_a_fault_in_shared_prefixes_is_counted_for_every_class_below(
+    monkeypatch, inject, box, counts
+):
+    # A failure found once at a prefix is recorded again for each class
+    # below it, at its place among the checks of that class, under the
+    # class's own name.
+    inject(monkeypatch)
+    report = verify_classes(*box)
+    seen = (report.classes, report.branches, report.pairs, report.points)
+    assert (*seen, report.failures) == counts
+    if box == (8, 40):
+        reference = class_by_class(enumerate_classes(*box))
+        assert report.failures == reference.failures
+        assert report.examples == reference.examples
+
+
+def test_a_package_multiplicity_total_is_checked_per_class(monkeypatch):
+    # Package 1 passes its own check, then weighs one more: only the sum
+    # over the packages, checked once per class, can see it.
+    right = intersect._package
+
+    def heavier(E, k):
+        pkg = right(E, k)
+        return replace(pkg, multiplicity=pkg.multiplicity + 1) if k == 1 else pkg
+
+    monkeypatch.setattr(intersect, "_package", heavier)
+    report = verify_classes(8, 40)
+    assert report.classes == 569
+    assert report.failures == {"total_multiplicity": 569}
+    assert report.examples["total_multiplicity"][0] == (
+        "polar of K(2;3) has multiplicity 2 != n - 1"
+    )
+
+
+def test_a_prefix_failure_names_each_class_it_is_counted_for(monkeypatch):
+    # Package 1 of K(6;10,m) is two smooth copies, so each class has one
+    # wrong pair there; the walk finds it once, at K(6;10,11).
+    _pair_off_by_one_in_package_1(monkeypatch)
+    classes = [validate(6, [10, m]) for m in (11, 13, 15)]
+    report = _sweep(classes)
+    assert report.failures == {"pair_oracle": 3}
+    assert report.examples == class_by_class(classes).examples
+    assert [ex.split(" of ")[1].split(":")[0] for ex in report.examples["pair_oracle"]] == [
+        str(E) for E in classes
+    ]

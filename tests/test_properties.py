@@ -12,7 +12,9 @@ multiplicity sequence of its own class (Casas-Alvero, Singularities of
 Plane Curves, 2000), which checks the class itself and not only its
 genus.  The two run lists are cut into different segments, so they are
 compared with equal neighbouring runs merged.  The series oracle runs
-on every class within its bounds.
+on every class within its bounds.  The sweep runs each draw together
+with a class of the same prefix, so the second reuses the prefix levels
+built for the first.
 """
 
 import sys
@@ -24,7 +26,7 @@ from polarfactor.classify import genus_drop, max_branch_genus
 from polarfactor.cluster import singularity_cluster
 from polarfactor.decompose import branch_trace, decompose
 from polarfactor.eqclass import enumerate_classes, validate
-from polarfactor.intersect import SweepReport, _verify_one
+from polarfactor.intersect import _sweep
 from polarfactor.oracle_series import MAX_CONDUCTOR, MAX_MULTIPLICITY, verify_class
 
 MAX_N = 128
@@ -102,12 +104,22 @@ def branch_class_mismatches(E):
     return mismatches
 
 
+def sibling(E):
+    """E with its last exponent raised by e_{r-1}: a valid class with
+    E's prefix (n; m_1, ..., m_{r-1})."""
+    return validate(E.multiplicity, (*E.exponents[:-1], E.exponents[-1] + E.gcds[-2]))
+
+
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(classes())
 def test_every_check_holds_on_random_classes(E):
-    report = SweepReport()
-    _verify_one(E, report)
+    # The sweep checks the sibling on the prefix levels it built for E.
+    S = sibling(E)
+    report = _sweep([E, S])
     assert report.ok, report.examples
+    alone = [_sweep([F]) for F in (E, S)]
+    for field in ("classes", "branches", "pairs", "points"):
+        assert getattr(report, field) == sum(getattr(one, field) for one in alone)
     assert genus_drop(E) == (max_branch_genus(E) < E.genus)
     assert branch_class_mismatches(E) == []
 
