@@ -334,10 +334,13 @@ def verify_classes(
     derives and checks them once per prefix: its blocks, branch types,
     their traces, I(b, f), genus and quotient checks, and every pair of
     types in packages <= k.  Per class only block r, package r, the pairs
-    that touch it and the checks of the whole class run.  A failure found
-    at a prefix is recorded again for every class below it, with the
-    same count and the class's own name, in the order of the checks of
-    one class, so every count is the one of a class-by-class sweep.
+    that touch it and the checks of the whole class run.  The checks run
+    level by level: all of level 1, then level 2, and so on.  A failure
+    found at a prefix is recorded again, with the same count and under
+    the class's own name, for every class below it, as a class-by-class
+    sweep would record it.  A TheoremViolation stops its level and every
+    level below: each class there records one 'internal' failure and
+    counts no points, branches or pairs.
     """
     return _sweep(enumerate_classes(max_n, max_last_exponent, max_genus), progress)
 
@@ -355,41 +358,18 @@ def _sweep(
     return report
 
 
-# The checks of one class run in this order of stages; a check's position
-# is (stage, row, level), where the row counts only in the pair stage and
-# level k holds block k and package k.  Stages marked * run at the class's
-# last level only.
-(
-    BLOCK,  # block k of the cluster
-    CLUSTER,  # * support, proximity of curve and polar, sum of squared values
-    PACKAGE,  # package k
-    TOTAL,  # * package multiplicities sum to n - 1
-    SUMMARY,  # branch count of package k by the closed form
-    COUNT,  # ... against the package's copies
-    TRACE,  # traces of the types of package k
-    SHARP,  # each trace on the cluster's segments; * their sum is the polar
-    PAIRS,  # row g: types[g] against the types of package k
-    CURVE,  # I(b, f) of the types of package k
-    GRAND,  # * the grand total
-    GENUS,  # genus and polar quotient of the types of package k
-) = range(12)
-_NEVER = (GENUS + 1,)
-
-
 class _Level:
     """Blocks 1..k, packages 1..k and their checks, for every class below
     one prefix (n; m_1, ..., m_k); made by _level at the first such class.
     The class attributes are those of the empty prefix, k = 0.
 
-    ``events`` lists every failure found on levels 1..k in the order of
-    their positions, as (position, check, message, count, class), with
-    check None for a TheoremViolation raised there; ``halt`` is the
-    position of the first raise, at and after which nothing runs.
+    ``events`` lists the failures found on levels 1..k, level by level
+    in the order of _check_level, as (check, message, count, class);
+    ``raised`` is (message, class) of a TheoremViolation raised there.
     """
 
-    k = 0
-    halt = _NEVER
-    events: Sequence[tuple] = ()
+    raised: tuple[str, EqClass] | None = None
+    events: tuple[tuple[str, str, int, EqClass], ...] = ()
     runs: tuple[int, ...] = ()
     counts: tuple[int, ...] = ()
     steps: tuple[int, ...] = ()
@@ -399,36 +379,28 @@ class _Level:
     aggregate: tuple[int, ...] = ()
     multiplicity = 0
 
-    def __init__(self, k: int = 0, up: _Level | None = None) -> None:
+    def __init__(self, up: _Level | None = None) -> None:
         if up is not None:
             self.__dict__.update(up.__dict__)
-        self.k = k
-
-    def at(self, stage: int, row: int = 0) -> bool:
-        """Move to a check's position; False once a raise came before it."""
-        self.key = (stage, row, self.k)
-        return self.key < self.halt
 
     def record(self, E: EqClass, report: SweepReport) -> None:
-        """Add the last level of class E to the report: its points once
-        every block is built, its branches and pairs once every package
-        and branch count is, and each failure up to the first raise.  A
-        prefix's checks read nothing of a class but the prefix, so the
-        message E would give differs from the one found only in the name
-        of the class."""
-        if self.halt[0] > BLOCK:
-            report.points += sum(self.counts)
-        if self.halt[0] > SUMMARY:
-            branches = sum(t.copies for t in self.types)
-            report.branches += branches
-            report.pairs += branches * (branches - 1) // 2
-        for _, check, message, count, found in self.events:
-            if found is not E:
-                message = message.replace(str(found), str(E))
-            if check is None:
-                report.record("internal", f"{E}: {message}")
-                return
-            report.record(check, message, count)
+        """Add the last level of class E to the report: each failure, then
+        one 'internal' if a level raised, else its points, branches and
+        pairs.  A prefix's checks read only the prefix, so E's message
+        differs from the one found only in the name of the class."""
+
+        def named(message: str, found: EqClass) -> str:
+            return message if found is E else message.replace(str(found), str(E))
+
+        for check, message, count, found in self.events:
+            report.record(check, named(message, found), count)
+        if self.raised is not None:
+            report.record("internal", f"{E}: {named(*self.raised)}")
+            return
+        report.points += sum(self.counts)
+        branches = sum(t.copies for t in self.types)
+        report.branches += branches
+        report.pairs += branches * (branches - 1) // 2
 
 
 _ROOT = _Level()
@@ -436,84 +408,67 @@ _ROOT = _Level()
 
 def _level(E: EqClass, k: int, up: _Level) -> _Level:
     """Level k of class E on top of level k - 1; at k = E.genus, the
-    whole class."""
-    lv = _Level(k, up)
-    found: list[tuple] = []
+    whole class.  Below a level that raised, nothing is built."""
+    if up.raised is not None:
+        return up
+    lv = _Level(up)
 
-    def fail(check: str | None, message: str, count: int = 1) -> None:
-        found.append((lv.key, check, message, count, E))
+    def fail(check: str, message: str, count: int) -> None:
+        lv.events += ((check, message, count, E),)
 
     try:
         _check_level(E, k, lv, fail)
     except TheoremViolation as exc:
-        fail(None, str(exc))
-        lv.halt = lv.key
-    if found:
-        lv.events = sorted((*lv.events, *found), key=lambda event: event[0])
+        lv.raised = (str(exc), E)
     return lv
 
 
 def _check_level(
-    E: EqClass, k: int, lv: _Level, fail: Callable[..., None]
+    E: EqClass, k: int, lv: _Level, fail: Callable[[str, str, int], None]
 ) -> None:
-    """Extend lv by block k and package k of E and run their checks,
-    stopping before the first position at or after lv.halt."""
+    """Extend lv by block k and package k of E and run their checks, in
+    order; a TheoremViolation stops them."""
     n = E.multiplicity
     whole = k == E.genus
-    if not lv.at(BLOCK):
-        return
     runs, counts, steps = _block(E, k)
     lv.runs += runs
     lv.counts += counts
     lv.steps += tuple(steps)
     curve = Cluster(E, lv.runs, lv.counts, lv.steps)
     if whole:
-        if not lv.at(CLUSTER):
-            return
         polar = _polar(curve)
         size = len(curve)
         if polar.counts is not curve.counts or polar.steps is not curve.steps:
-            fail("support", f"{E}: polar support rebuilt, not shared")
+            fail("support", f"{E}: polar support rebuilt, not shared", 1)
         prox = check_proximity(curve)
         if prox.deficits or prox.strict != (size - 1,):
             fail(
                 "curve_proximity",
                 f"{E}: deficits {prox.deficits}, strict {prox.strict}",
+                1,
             )
         if not check_proximity(polar).ok:
-            fail("polar_proximity", f"{E}: polar valuations inconsistent")
+            fail("polar_proximity", f"{E}: polar valuations inconsistent", 1)
         sq = sum(h * v * v for v, h in zip(curve.runs, curve.counts))
         if sq != scaled_polar_quotient(E, E.genus):
-            fail("value_square_sum", f"{E}: sum v^2 = {sq}")
+            fail("value_square_sum", f"{E}: sum v^2 = {sq}", 1)
 
-    if not lv.at(PACKAGE):
-        return
     pkg = _package(E, k)
     types = pkg.types
     start = len(lv.types)
     lv.types += types
     lv.multiplicity += pkg.multiplicity
     if whole:
-        if not lv.at(TOTAL):
-            return
         wrong = _total_mismatch(E, lv.multiplicity)
         if wrong:
-            fail("total_multiplicity", wrong)
-    if not lv.at(SUMMARY):
-        return
+            fail("total_multiplicity", wrong, 1)
     branches = branch_count(E, k)
-    if not lv.at(COUNT):
-        return
     if sum(t.copies for t in types) != branches:
-        fail("package_summary", f"{E}: package {k}")
+        fail("package_summary", f"{E}: package {k}", 1)
 
-    if not lv.at(TRACE):
-        return
     traces = tuple(_trace(curve, t) for t in types)
     lv.traces += traces
 
-    if not lv.at(SHARP):
-        return
     aggregate = [*lv.aggregate, *[0] * (len(lv.runs) - len(lv.aggregate))]
     for t, tr in zip(types, traces):
         if tr.counts != lv.counts[: len(tr.counts)]:
@@ -523,25 +478,17 @@ def _check_level(
             aggregate[i] += t.copies * v
     lv.aggregate = tuple(aggregate)
     if whole and lv.aggregate != polar.runs:
-        fail("sharp_pass", f"{E}: trace sum {lv.aggregate} != {polar.runs}")
+        fail("sharp_pass", f"{E}: trace sum {lv.aggregate} != {polar.runs}", 1)
 
     for g in range(len(lv.types)):
-        if not lv.at(PAIRS, g):
-            return
         _checked_row(E, lv.types, lv.traces, g, start, fail)
 
-    if not lv.at(CURVE):
-        return
     values = [_branch_vs_curve(E, t) for t in types]
     _check_curve(E, (lv.runs, lv.counts), types, traces, values, fail)
     lv.with_curve += tuple(values)
     if whole:
-        if not lv.at(GRAND):
-            return
         _checked_total(E, lv.types, lv.with_curve, fail)
 
-    if not lv.at(GENUS):
-        return
     for t, closed in zip(types, values):
         expected_genus = t.package if t.p > 1 else t.package - 1
         if t.genus != expected_genus:

@@ -257,10 +257,11 @@ def test_a_trace_count_off_by_one_is_caught(monkeypatch):
     with pytest.raises(TheoremViolation, match="points against"):
         intersection_report(validate(8, [12, 14, 15]))
     report = verify_classes(4, 9)
-    assert {"sharp_pass", "internal"} <= set(report.failures)
-    # one record per branch, copies included, then one per class whose
-    # trace sum is left empty
-    assert report.failures["sharp_pass"] == report.branches + report.classes
+    # the sharp pass records the shifted traces, then every class raises
+    # in a Noether sum, so none counts its branches, pairs or points
+    assert report.failures["internal"] == report.classes == 13
+    assert report.branches == report.pairs == report.points == 0
+    assert report.failures == {"sharp_pass": 28, "internal": 13, "pair_oracle": 5}
     assert all("points against" in ex for ex in report.examples["internal"])
 
 
@@ -409,35 +410,63 @@ def _package_1_class_off(monkeypatch):
          (569, 1410, 1306, 6514, {"pair_oracle": 474})),
         (_pair_off_by_one_in_package_1, (16, 60),
          (4676, 15260, 21348, 69569, {"pair_oracle": 6667})),
-        # some shifted pairs still line up and are summed before one raises
+        # some shifted pairs still line up and are summed before one
+        # raises; a raised class counts no branches, pairs or points
         (_trace_off_by_one, (8, 40),
-         (569, 1410, 1306, 6514,
-          {"internal": 569, "pair_oracle": 436, "sharp_pass": 1979})),
-        # recorded checks, then an inexact pair division
+         (569, 0, 0, 0,
+          {"internal": 569, "pair_oracle": 436, "sharp_pass": 987})),
+        # recorded checks, then an inexact pair division at the first
+        # level with a pair; classes without one count their points
         (_quotient_off_by_one, (8, 40),
-         (569, 1410, 1306, 6514,
-          {"internal": 506, "quotient_ratio": 63, "value_square_sum": 569})),
+         (569, 63, 0, 651,
+          {"internal": 506, "quotient_ratio": 413, "value_square_sum": 412})),
         (_package_2_pairs_raise_after_a_wrong_1_3_pair, (16, 60),
-         (4676, 15260, 21348, 69569, {"internal": 862, "pair_oracle": 2145})),
-        # a raise in package 1 leaves the branches of the class uncounted
+         (4676, 11817, 15767, 58323, {"internal": 862, "pair_oracle": 1981})),
+        # a raise in package 1 leaves the class uncounted
         (_package_1_class_off, (8, 40),
-         (569, 1094, 1149, 6514, {"internal": 173})),
+         (569, 1094, 1149, 4638, {"internal": 173})),
     ],
 )
 def test_a_fault_in_shared_prefixes_is_counted_for_every_class_below(
     monkeypatch, inject, box, counts
 ):
     # A failure found once at a prefix is recorded again for each class
-    # below it, at its place among the checks of that class, under the
-    # class's own name.
+    # below it, under the class's own name; the checks of a class run
+    # level by level, and a raise stops every level below it.
     inject(monkeypatch)
     report = verify_classes(*box)
     seen = (report.classes, report.branches, report.pairs, report.points)
     assert (*seen, report.failures) == counts
-    if box == (8, 40):
-        reference = class_by_class(enumerate_classes(*box))
-        assert report.failures == reference.failures
-        assert report.examples == reference.examples
+    reference = class_by_class(enumerate_classes(*box))
+    assert seen == (
+        reference.classes, reference.branches, reference.pairs, reference.points
+    )
+    assert report.failures == reference.failures
+    assert report.examples == reference.examples
+
+
+def test_nothing_below_a_raising_prefix_runs(monkeypatch):
+    # Under the fault, package 1 raises for every class with a singular
+    # branch type there; no block below it may be built for that class.
+    _package_1_class_off(monkeypatch)
+    right = intersect._block
+    built = []
+
+    def block(E, k):
+        built.append((E, k))
+        return right(E, k)
+
+    def package_1_raises(E):
+        try:
+            intersect._package(E, 1)
+        except TheoremViolation:
+            return True
+        return False
+
+    monkeypatch.setattr(intersect, "_block", block)
+    assert verify_classes(8, 40).failures == {"internal": 173}
+    assert any(package_1_raises(E) for E, k in built if k == 1)
+    assert [(E, k) for E, k in built if k >= 2 and package_1_raises(E)] == []
 
 
 def test_a_package_multiplicity_total_is_checked_per_class(monkeypatch):
