@@ -20,6 +20,8 @@ arithmetic is exact, so a match verifies the prediction for the sample
 outright; mismatches trigger a resample because a non-generic sample
 is a measure-zero accident, and only persistent disagreement counts.
 
+A series in t, and each y-coefficient of F (a polynomial in x), is a
+dict from exponent to coefficient holding nonzero coefficients only.
 Every series product is one integer product (Kronecker substitution,
 as in Harvey, J. Symb. Comp. 44, 2009): a series becomes one Python int
 at t = 2^(8w), w bytes per coefficient, enough for a proven bound on
@@ -42,7 +44,6 @@ from .intersect import branch_vs_curve
 
 __all__ = [
     "SeriesReport",
-    "TruncSeries",
     "implicitize",
     "evaluate_on_parametrization",
     "polar_poly",
@@ -106,12 +107,10 @@ def _unpack(
     }
 
 
-def _dot(
-    pairs: list[tuple[dict[int, int], dict[int, int]]], top: int | None = None
-) -> dict[int, int]:
+def _dot(pairs: list[tuple[dict[int, int], dict[int, int]]]) -> dict[int, int]:
     """Coefficients of the sum of the products a*b over pairs of
-    coefficient dicts, below top when given: one integer product per
-    pair, summed, and the digits read back once.
+    coefficient dicts: one integer product per pair, summed, and the
+    digits read back once.
 
     The slot holds the sum over pairs of min(#a, #b)*|a|_max*|b|_max,
     which bounds every coefficient of the sum (and of every factor)."""
@@ -127,70 +126,10 @@ def _dot(
     total = 0
     for (a, b), (la, lb) in zip(pairs, lows):
         total += (_pack(a, w, la) * _pack(b, w, lb)) << (8 * w * (la + lb - lo))
-    return _unpack(total, w, None if top is None else top - lo, lo)
+    return _unpack(total, w, base=lo)
 
 
-class TruncSeries:
-    """Series in t (or, as a y-coefficient of F, polynomial in x) with exact
-    integer coefficients and explicit truncation.
-
-    ``trunc`` is the first unknown order: terms at exponents >= trunc
-    have been dropped and must not be trusted.  None means the series
-    is an exact polynomial.  Arithmetic propagates the tighter
-    truncation of the operands, which is conservative.
-    """
-
-    __slots__ = ("coeffs", "trunc")
-
-    def __init__(self, coeffs: dict[int, int], trunc: int | None = None):
-        if trunc is None:
-            self.coeffs = {e: c for e, c in coeffs.items() if c}
-        else:
-            self.coeffs = {e: c for e, c in coeffs.items() if c and e < trunc}
-        self.trunc = trunc
-
-    @staticmethod
-    def _merge_trunc(a: int | None, b: int | None) -> int | None:
-        if a is None:
-            return b
-        if b is None:
-            return a
-        return min(a, b)
-
-    def __add__(self, other: "TruncSeries") -> "TruncSeries":
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, 0) + c
-        return TruncSeries(out, self._merge_trunc(self.trunc, other.trunc))
-
-    def __mul__(self, other: "TruncSeries") -> "TruncSeries":
-        """Exact product by Kronecker substitution: both factors become
-        integers at t = 2^(8w), one integer product, and its digits are
-        read back below the truncation (see _dot)."""
-        trunc = self._merge_trunc(self.trunc, other.trunc)
-        return TruncSeries(_dot([(self.coeffs, other.coeffs)], trunc), trunc)
-
-    def order(self) -> int | None:
-        """Lowest exponent with a nonzero coefficient; None when there is
-        none below the truncation (identically zero if exact)."""
-        return min(self.coeffs) if self.coeffs else None
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, TruncSeries)
-            and self.coeffs == other.coeffs
-            and self.trunc == other.trunc
-        )
-
-    def __repr__(self) -> str:
-        inside = " + ".join(
-            f"{c}*t^{e}" for e, c in sorted(self.coeffs.items())
-        ) or "0"
-        tail = "" if self.trunc is None else f" + O(t^{self.trunc})"
-        return inside + tail
-
-
-def sample_parametrization(E: EqClass, seed: int | None = None) -> TruncSeries:
+def sample_parametrization(E: EqClass, seed: int | None = None) -> dict[int, int]:
     """Random polynomial parametrization y(t) of a member of class E.
 
     y = t^{m_1} + sum of a_i t^i over m_1 < i < conductor, with a_i in
@@ -198,7 +137,7 @@ def sample_parametrization(E: EqClass, seed: int | None = None) -> TruncSeries:
     nonzero; a coefficient strictly between m_k and m_{k+1} is forced
     zero unless e_k divides its exponent, so the realized gcd chain is
     exactly E's and the sampled curve lies in E, never in a finer
-    class.  Deterministic for a given seed.
+    class.  Deterministic for a given seed; a drawn 0 is left out.
     """
     rng = random.Random(seed)
     coeffs = {E.exponents[0]: 1}
@@ -210,10 +149,10 @@ def sample_parametrization(E: EqClass, seed: int | None = None) -> TruncSeries:
             level = sum(1 for m in E.exponents if m <= i)
             if i % E.gcds[level] == 0:
                 coeffs[i] = rng.randint(-3, 3)
-    return TruncSeries(coeffs)
+    return {i: c for i, c in coeffs.items() if c}
 
 
-def implicitize(n: int, phi: TruncSeries) -> tuple[TruncSeries, ...]:
+def implicitize(n: int, phi: dict[int, int]) -> tuple[dict[int, int], ...]:
     """The integer polynomial F, monic of degree n in y, vanishing on
     the parametrized curve (t^n, phi(t)), as its y-coefficients: F[j]
     is the coefficient of y^j, a polynomial in x.
@@ -227,18 +166,18 @@ def implicitize(n: int, phi: TruncSeries) -> tuple[TruncSeries, ...]:
     vanish identically on the parametrization and to have lowest
     homogeneous degree n (the multiplicity of the sampled branch).
     """
-    if phi.trunc is not None:
-        raise ValueError("implicitize needs an exact polynomial parametrization")
-    if not phi.coeffs or phi.order() <= 0:
+    if 0 in phi.values():
+        raise ValueError("parametrization has a zero coefficient")
+    if not phi or min(phi) <= 0:
         raise ValueError("parametrization must have positive order")
     if n < 2:
         raise ValueError(f"multiplicity must be at least 2, got {n}")
     # ||phi^i||_inf <= ||phi||_1^i, so one slot width serves every power;
     # phi = t^m * psi, and power = psi^i at t = 2^(8w)
-    m = phi.order()
-    w = _slot_bytes(sum(map(abs, phi.coeffs.values())) ** n)
-    psi = _pack(phi.coeffs, w, m)
-    span = max(phi.coeffs) - m
+    m = min(phi)
+    w = _slot_bytes(sum(map(abs, phi.values())) ** n)
+    psi = _pack(phi, w, m)
+    span = max(phi) - m
     # power_sums[i] = tr(phi^i) and coeffs[k] multiplies y^{n-k}, both in x
     power_sums = [{0: n}]
     power = 1
@@ -256,10 +195,9 @@ def implicitize(n: int, phi: TruncSeries) -> tuple[TruncSeries, ...]:
             if r:
                 raise TheoremViolation("Newton identity division not exact")
         coeffs.append(quotient)
-    F = tuple(TruncSeries(c) for c in reversed(coeffs))
+    F = tuple(reversed(coeffs))
 
-    residue = evaluate_on_parametrization(F, n, phi)
-    if residue.coeffs:
+    if evaluate_on_parametrization(F, n, phi):
         raise TheoremViolation("implicitization residue is nonzero")
     if _multiplicity(F) != n:
         raise TheoremViolation(
@@ -269,54 +207,54 @@ def implicitize(n: int, phi: TruncSeries) -> tuple[TruncSeries, ...]:
 
 
 def evaluate_on_parametrization(
-    F: tuple[TruncSeries, ...], n: int, phi: TruncSeries, trunc: int | None = None
-) -> TruncSeries:
+    F: tuple[dict[int, int], ...], n: int, phi: dict[int, int]
+) -> dict[int, int]:
     """F(t^n, phi(t)) as a series in t, exact, by Horner's rule over the
     y-coefficients of F on one packed integer (see _horner).  An exact
-    zero is one slot to read; otherwise the digits are read back, only
-    below ``trunc`` (merged with phi's) when given."""
-    trunc = TruncSeries._merge_trunc(trunc, phi.trunc)
-    V, w = _horner(F, n, phi)
-    return TruncSeries(_unpack(V, w, trunc), trunc)
+    zero is one slot to read."""
+    return _unpack(*_horner(F, n, phi))
 
 
-def _horner(F: tuple[TruncSeries, ...], n: int, phi: TruncSeries) -> tuple[int, int]:
+def _horner(F: tuple[dict[int, int], ...], n: int, phi: dict[int, int]) -> tuple[int, int]:
     """F(t^n, phi(t)) at t = 2^(8w) as one integer V, and the slot
     width w in bytes.  Every coefficient of F(t^n, phi(t)) is at most
     the sum over j of ||F[j]||_1 * ||phi||_1^j in absolute value, and
     w holds that bound (and phi's own coefficients) with a sign bit.
     phi must have no negative exponent."""
-    norm = sum(map(abs, phi.coeffs.values()))
+    norm = sum(map(abs, phi.values()))
     w = _slot_bytes(norm + sum(
-        sum(map(abs, Fj.coeffs.values())) * norm**j for j, Fj in enumerate(F)
+        sum(map(abs, Fj.values())) * norm**j for j, Fj in enumerate(F)
     ))
-    m = phi.order() or 0
-    psi = _pack(phi.coeffs, w, m) if phi.coeffs else 0
+    m = min(phi, default=0)
+    psi = _pack(phi, w, m) if phi else 0
     V = 0
     for Fj in reversed(F):
         V = (V * psi) << (8 * w * m)
-        if Fj.coeffs:
-            V += _pack(Fj.coeffs, w, 0, n)
+        if Fj:
+            V += _pack(Fj, w, 0, n)
     return V, w
 
 
-def polar_poly(F: tuple[TruncSeries, ...], a: int, b: int) -> tuple[TruncSeries, ...]:
+def polar_poly(
+    F: tuple[dict[int, int], ...], a: int, b: int
+) -> tuple[dict[int, int], ...]:
     """The polar a*F_x + b*F_y of F in direction (a : b), coefficient by
     coefficient: its y^j coefficient is a*F[j]' + b*(j + 1)*F[j + 1]."""
     if a == 0 and b == 0:
         raise ValueError("polar direction (0, 0) is not allowed")
-    above = F[1:] + (TruncSeries({}),)
-    return tuple(
-        TruncSeries({i - 1: a * i * c for i, c in Fj.coeffs.items() if i})
-        + TruncSeries({i: b * (j + 1) * c for i, c in Fup.coeffs.items()})
-        for j, (Fj, Fup) in enumerate(zip(F, above))
-    )
+    polar = []
+    for j, (Fj, Fup) in enumerate(zip(F, F[1:] + ({},))):
+        Pj = {i - 1: a * i * c for i, c in Fj.items() if i}
+        for i, c in Fup.items():
+            Pj[i] = Pj.get(i, 0) + b * (j + 1) * c
+        polar.append({i: c for i, c in Pj.items() if c})
+    return tuple(polar)
 
 
-def _multiplicity(F: tuple[TruncSeries, ...]) -> int:
+def _multiplicity(F: tuple[dict[int, int], ...]) -> int:
     """Degree of the lowest nonzero homogeneous part of F (the
     multiplicity at the origin of the curve it defines)."""
-    return min(Fj.order() + j for j, Fj in enumerate(F) if Fj.coeffs)
+    return min(min(Fj) + j for j, Fj in enumerate(F) if Fj)
 
 
 @dataclass(frozen=True)
@@ -390,7 +328,7 @@ def verify_class(E: EqClass, seed: int | None = None, retries: int = 5) -> Serie
 
 
 def _order_along(
-    P: tuple[TruncSeries, ...], n: int, phi: TruncSeries, expected: int
+    P: tuple[dict[int, int], ...], n: int, phi: dict[int, int], expected: int
 ) -> int:
     """Vanishing order of P along (t^n, phi(t)), read off the packed
     value V = P(2^(8wn), phi(2^(8w))) with no unpacking: the lowest

@@ -12,11 +12,12 @@ multiplicity sequence of its own class (Casas-Alvero, Singularities of
 Plane Curves, 2000), which checks the class itself and not only its
 genus.  The two run lists are cut into different segments, so they are
 compared with equal neighbouring runs merged.  The series oracle runs
-on every class within its bounds.  The sweep runs each draw together
-with a class of the same prefix, so the second reuses the prefix levels
-built for the first.
+on every class within its bounds, and a digest freezes its reports.
+The sweep runs each draw together with a class of the same prefix, so
+the second reuses the prefix levels built for the first.
 """
 
+import hashlib
 import sys
 from math import gcd, prod
 
@@ -154,7 +155,19 @@ def test_a_raised_last_branch_exponent_is_caught(monkeypatch):
 
 
 def test_series_oracle_on_every_in_bound_class():
+    # every report field, frozen: a change to the sampling, the random
+    # draws or the arithmetic moves the digest
+    digest = hashlib.sha256()
     for seed, E in enumerate(SERIES_CLASSES):
         report = verify_class(E, seed=seed)
         assert report.matched, report.summary()
         assert report.observed == E.milnor + E.multiplicity - 1
+        digest.update(repr((
+            str(E), report.expected, report.observed, report.fy_order,
+            report.polar_multiplicity, report.direction, report.attempts,
+            report.matched, report.seed,
+        )).encode())
+    assert len(SERIES_CLASSES) == 754
+    assert digest.hexdigest() == (
+        "7f2090464e59a001948e07a3e09a4988a6ad578fb39862b13368c0511f4f5821"
+    )
