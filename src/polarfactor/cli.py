@@ -78,16 +78,18 @@ def _branch_payload(b: PolarBranch, copy: int) -> dict:
 
 
 def _intersections_payload(E: EqClass) -> dict:
+    """The report's values per branch, numbered as _numbered lists the
+    copies of each type."""
     rep = intersection_report(E)
-    size = len(rep.branches)
+    type_of = [g for g, t in enumerate(rep.types) for _ in range(t.copies)]
     pairs = [
-        {"a": a, "b": c, "value": rep.matrix[a][c]}
-        for a in range(size)
-        for c in range(a + 1, size)
+        {"a": a, "b": c, "value": rep.matrix[g][type_of[c]]}
+        for a, g in enumerate(type_of)
+        for c in range(a + 1, len(type_of))
     ]
     return {
         "pairs": pairs,
-        "with_curve": list(rep.with_curve),
+        "with_curve": [rep.with_curve[g] for g in type_of],
         "total": rep.total,
     }
 
@@ -113,7 +115,7 @@ def _decompose_payload(E: EqClass) -> dict:
 
 def _print_decomposition_text(E: EqClass, matrix_only: bool) -> None:
     D = decompose(E)
-    rep = intersection_report(E)
+    inter = _intersections_payload(E)
     names = [f"[{b.package},{b.depth},{j}]" for b, j in _numbered(D.types())]
     if not matrix_only:
         print(
@@ -133,15 +135,14 @@ def _print_decomposition_text(E: EqClass, matrix_only: bool) -> None:
                     f"(p,q)=({b.p},{b.q})  raw {b.exponents}  "
                     f"mult {b.multiplicity}  genus {b.genus}"
                 )
-    for a in range(len(names)):
-        for c in range(a + 1, len(names)):
-            print(f"I({names[a]}, {names[c]}) = {rep.matrix[a][c]}")
+    for pair in inter["pairs"]:
+        print(f"I({names[pair['a']]}, {names[pair['b']]}) = {pair['value']}")
     with_curve = ", ".join(
-        f"{name}: {val}" for name, val in zip(names, rep.with_curve)
+        f"{name}: {val}" for name, val in zip(names, inter["with_curve"])
     )
     print(f"with curve: {with_curve}")
     print(
-        f"total curve-polar intersection = {rep.total} "
+        f"total curve-polar intersection = {inter['total']} "
         f"(milnor {E.milnor} + multiplicity {E.multiplicity} - 1)"
     )
 

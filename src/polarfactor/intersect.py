@@ -138,15 +138,17 @@ def _branch_vs_curve(E: EqClass, b: PolarBranch) -> int:
 
 @dataclass(frozen=True)
 class IntersectionReport:
-    """Full pairwise intersection data, oracle-checked on construction.
+    """Full intersection data per branch type, oracle-checked on
+    construction.
 
-    ``matrix`` is symmetric over branches in decomposition order with a
-    zero diagonal (self-intersection is not defined); ``with_curve``
-    lists I(b, f) per branch; ``total`` is I(f, P(f)) = mu + n - 1.
+    ``matrix`` is symmetric over ``types``, decompose(E)'s own in order:
+    I between a copy of each, and on the diagonal between two copies of
+    one type (0 for a single copy).  ``with_curve`` lists I(b, f) per
+    type; ``total`` is I(f, P(f)) = mu + n - 1 over all branches.
     """
 
     eqclass: EqClass
-    branches: tuple[PolarBranch, ...]
+    types: tuple[PolarBranch, ...]
     matrix: tuple[tuple[int, ...], ...]
     with_curve: tuple[int, ...]
     total: int
@@ -161,87 +163,65 @@ def intersection_report(E: EqClass) -> IntersectionReport:
 
     Also cross-checks every I(b, f) against the trace oracle and the
     grand total against mu + n - 1 from the semigroup.  Any mismatch
-    raises TheoremViolation.  The checks run once per branch type; the
-    matrix and with_curve repeat their values over the copies.
+    raises TheoremViolation.  The checks run once per branch type, in
+    the sweep's kernel.
     """
-    D = decompose(E)
-    types = list(D.types())
-    traces = [branch_trace(E, t) for t in types]
-    upper = [_checked_row(E, types, traces, g, 0, _raise) for g in range(len(types))]
-    closed = [
-        [row[g - h] for h, row in enumerate(upper[:g])] + upper[g]
-        for g in range(len(types))
-    ]
+    types = tuple(decompose(E).types())
     C = singularity_cluster(E)
-    values = [branch_vs_curve(E, t) for t in types]
-    _check_curve(E, (C.runs, C.counts), types, traces, values, _raise)
-    total = _checked_total(E, types, values, _raise)
-    type_of = [g for g, t in enumerate(types) for _ in range(t.copies)]
-    rows = []
-    for g, t in enumerate(types):
-        row = [closed[g][h] for h in type_of]
-        first = len(rows)
-        rows += [(*row[:a], 0, *row[a + 1 :]) for a in range(first, first + t.copies)]
-    with_curve = tuple(values[g] for g in type_of)
-    return IntersectionReport(E, tuple(D.branches()), tuple(rows), with_curve, total)
+    traces = [_trace(C, t) for t in types]
+    upper, with_curve = _check_types(E, (C.runs, C.counts), types, traces, 0, _raise)
+    matrix = tuple(
+        tuple(upper[min(g, h)][abs(g - h)] for h in range(len(types)))
+        for g in range(len(types))
+    )
+    total = _checked_total(E, types, with_curve, _raise)
+    return IntersectionReport(E, types, matrix, tuple(with_curve), total)
 
 
-# The checks of the closed forms against the Noether oracle, shared by
-# intersection_report and the sweep.  The types are decompose(E)'s own
-# (or the sweep's packages of E, the same types), so they skip
-# require_member.  A mismatch goes to ``fail(check, message, count)``,
-# with count the number of branch pairs (c*c' across types, c*(c-1)/2
-# within one) or branches it stands for.
-
-
-def _checked_row(
-    E: EqClass,
-    types: Sequence[PolarBranch],
-    traces: Sequence[Trace],
-    g: int,
-    start: int,
-    fail: Callable[[str, str, int], None],
-) -> list[int]:
-    """The one pair kernel: types[g] against each types[h], h >= g and
-    h >= start, in order.  Each pair of types, and a type with itself
-    when it has two or more copies, gets one closed form and one Noether
-    sum, checked under 'pair_oracle'.  Returns the closed forms (0 where
-    no pair exists), kept whether or not ``fail`` returns.  Rows
-    g = 0, 1, ... with start 0 cover every pair once; a larger start
-    leaves out the pairs among types[:start], checked already.
-    """
-    t = types[g]
-    row = []
-    for h in range(max(g, start), len(types)):
-        u = types[h]
-        pairs = t.copies * (t.copies - 1) // 2 if g == h else t.copies * u.copies
-        if not pairs:
-            row.append(0)
-            continue
-        value = _pair_intersection(E, t, u)
-        oracle = noether_sum(traces[g], traces[h])
-        if value != oracle:
-            fail(
-                "pair_oracle",
-                f"pair ({t}, {u}) of {E}: "
-                f"closed form {value} != Noether oracle {oracle}",
-                pairs,
-            )
-        row.append(value)
-    return row
-
-
-def _check_curve(
+def _check_types(
     E: EqClass,
     curve: tuple[Sequence[int], Sequence[int]],
     types: Sequence[PolarBranch],
     traces: Sequence[Trace],
-    values: Sequence[int],
+    start: int,
     fail: Callable[[str, str, int], None],
-) -> None:
-    """I(b, f) = values[i] for the copies of types[i] against the Noether
-    sum of its trace with the curve's runs, under 'branch_vs_curve'."""
-    for t, trace, value in zip(types, traces, values):
+) -> tuple[list[list[int]], list[int]]:
+    """The check kernel of intersection_report and the sweep: types[:start]
+    of E are checked already.  The types are decompose(E)'s own (or the
+    sweep's packages of E, the same types), so they skip require_member.
+
+    Each pair of types that touches types[start:], and a type with itself
+    when it has two or more copies, gets one closed form and one Noether
+    sum, under 'pair_oracle'; then I(b, f) of each of types[start:]
+    against the Noether sum of its trace with the curve's runs, under
+    'branch_vs_curve'.  A mismatch goes to ``fail(check, message, count)``,
+    with count the branch pairs (c*c' across types, c*(c-1)/2 within one)
+    or branches it stands for.  Returns the closed forms, whether or not
+    ``fail`` returns: rows g of types[g] against each types[h], h >= g and
+    h >= start (0 where no pair exists), and I(b, f) per types[start:].
+    """
+    rows = []
+    for g, t in enumerate(types):
+        row = []
+        for h in range(max(g, start), len(types)):
+            u = types[h]
+            pairs = t.copies * (t.copies - 1) // 2 if g == h else t.copies * u.copies
+            if not pairs:
+                row.append(0)
+                continue
+            value = _pair_intersection(E, t, u)
+            oracle = noether_sum(traces[g], traces[h])
+            if value != oracle:
+                fail(
+                    "pair_oracle",
+                    f"pair ({t}, {u}) of {E}: "
+                    f"closed form {value} != Noether oracle {oracle}",
+                    pairs,
+                )
+            row.append(value)
+        rows.append(row)
+    values = [_branch_vs_curve(E, t) for t in types[start:]]
+    for t, trace, value in zip(types[start:], traces[start:], values):
         expected = noether_sum(trace, curve)
         if value != expected:
             fail(
@@ -249,6 +229,7 @@ def _check_curve(
                 f"{t} against {E}: closed form {value} != oracle {expected}",
                 t.copies,
             )
+    return rows, values
 
 
 def _checked_total(
@@ -480,11 +461,7 @@ def _check_level(
     if whole and lv.aggregate != polar.runs:
         fail("sharp_pass", f"{E}: trace sum {lv.aggregate} != {polar.runs}", 1)
 
-    for g in range(len(lv.types)):
-        _checked_row(E, lv.types, lv.traces, g, start, fail)
-
-    values = [_branch_vs_curve(E, t) for t in types]
-    _check_curve(E, (lv.runs, lv.counts), types, traces, values, fail)
+    _, values = _check_types(E, (lv.runs, lv.counts), lv.types, lv.traces, start, fail)
     lv.with_curve += tuple(values)
     if whole:
         _checked_total(E, lv.types, lv.with_curve, fail)

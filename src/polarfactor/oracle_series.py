@@ -112,14 +112,15 @@ def _dot(pairs: list[tuple[dict[int, int], dict[int, int]]]) -> dict[int, int]:
     coefficient dicts: one integer product per pair, summed, and the
     digits read back once.
 
-    The slot holds the sum over pairs of min(#a, #b)*|a|_max*|b|_max,
-    which bounds every coefficient of the sum (and of every factor)."""
+    The slot holds every factor's |.|_max and the sum over pairs of
+    min(#a, #b)*|a|_max*|b|_max, which bounds every coefficient of the sum."""
     pairs = [(a, b) for a, b in pairs if a and b]
     if not pairs:
         return {}
-    w = _slot_bytes(sum(
-        min(len(a), len(b)) * max(map(abs, a.values())) * max(map(abs, b.values()))
-        for a, b in pairs
+    norms = [(max(map(abs, a.values())), max(map(abs, b.values()))) for a, b in pairs]
+    w = _slot_bytes(max(
+        sum(min(len(a), len(b)) * x * y for (a, b), (x, y) in zip(pairs, norms)),
+        *map(max, norms),
     ))
     lows = [(min(a), min(b)) for a, b in pairs]
     lo = min(la + lb for la, lb in lows)

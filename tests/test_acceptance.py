@@ -59,12 +59,12 @@ def test_criterion_01_worked_example():
     polar = polar_cluster(E).values
     elapsed = time.perf_counter() - t0
 
-    b1, b2, b3 = rep.branches
+    b1, b2, b3 = rep.types
     ok = (
         b1.canonical is None
         and b2.canonical == validate(2, [3])
         and b3.canonical == validate(4, [6, 7])
-        and [b.multiplicity for b in rep.branches] == [1, 2, 4]
+        and [b.multiplicity for b in rep.types] == [1, 2, 4]
         and (rep.matrix[0][1], rep.matrix[0][2], rep.matrix[1][2]) == (3, 6, 13)
         and curve == (8, 4, 4, 2, 2, 1, 1)
         and polar == (7, 4, 3, 2, 1, 1, 0)

@@ -104,13 +104,25 @@ def test_intersection_report_shape_and_totals():
         E = validate(n, ms)
         rep = intersection_report(E)
         assert rep.total == total == E.milnor + E.multiplicity - 1
-        size = len(rep.branches)
-        for a in range(size):
-            assert rep.matrix[a][a] == 0
-            for b in range(size):
-                assert rep.matrix[a][b] == rep.matrix[b][a]
-                if a != b:
-                    assert rep.matrix[a][b] > 0
+        size = len(rep.types)
+        for g, t in enumerate(rep.types):
+            # two copies of one type meet; a single copy has no pair
+            assert (rep.matrix[g][g] > 0) == (t.copies > 1)
+            for h in range(size):
+                assert rep.matrix[g][h] == rep.matrix[h][g]
+                if g != h:
+                    assert rep.matrix[g][h] > 0
+
+
+def test_a_wide_polar_is_one_type_and_its_copies():
+    # K(n; 2n-1) has n - 1 polar branches of one type; the report is per
+    # type, so its size and cost do not grow with the copies.
+    rep = intersection_report(validate(1000001, [2000001]))
+    (t,) = rep.types
+    assert t.copies == 10**6
+    assert rep.matrix == ((2,),)
+    assert rep.with_curve == (2000001,)
+    assert rep.total == 2000001000000
 
 
 def per_branch_report(E):
@@ -130,6 +142,17 @@ def per_branch_report(E):
     return tuple(map(tuple, matrix)), with_curve, sum(with_curve)
 
 
+def per_copy(rep):
+    """The per-type report repeated over the copies, in decomposition
+    order, with a zero diagonal."""
+    type_of = [g for g, t in enumerate(rep.types) for _ in range(t.copies)]
+    matrix = tuple(
+        tuple(0 if a == c else rep.matrix[g][h] for c, h in enumerate(type_of))
+        for a, g in enumerate(type_of)
+    )
+    return matrix, tuple(rep.with_curve[g] for g in type_of), rep.total
+
+
 def test_copy_groups_match_the_per_branch_reference():
     classes = [
         *enumerate_classes(10, 60),
@@ -139,7 +162,8 @@ def test_copy_groups_match_the_per_branch_reference():
     ]
     for E in classes:
         rep = intersection_report(E)
-        assert (rep.matrix, rep.with_curve, rep.total) == per_branch_report(E)
+        assert rep.types == tuple(decompose(E).types())
+        assert per_copy(rep) == per_branch_report(E)
 
 
 def test_verify_classes_small_bound_all_pass():
@@ -220,8 +244,8 @@ def test_failures_are_counted_per_branch_pair_not_per_copy_group(
 
 
 def test_the_kernel_checks_each_branch_once_per_entry_point(monkeypatch):
-    # branch_trace and branch_vs_curve each check one branch per type;
-    # the pair loop trusts decompose(E)'s own types.
+    # The report's types are decompose(E)'s own, so the kernel checks
+    # none of them again.
     module = sys.modules["polarfactor.decompose"]
     right = module.require_member
     calls = []
@@ -236,15 +260,15 @@ def test_the_kernel_checks_each_branch_once_per_entry_point(monkeypatch):
         branch_trace.cache_clear()
         calls.clear()
         rep = intersection_report(validate(n, ms))
-        assert len(rep.branches) == branches
-        assert len(calls) == 2 * types
+        assert len(rep.types) == types
+        assert sum(t.copies for t in rep.types) == branches
+        assert calls == []
 
 
 def test_a_trace_count_off_by_one_is_caught(monkeypatch):
     # A trace cut into other segments than the cluster's must not be
-    # summed: noether_sum raises, and the sweep records it.  The report
-    # takes traces from branch_trace, the sweep from _trace on the
-    # cluster it builds.
+    # summed: noether_sum raises, and the sweep records it.  Both take
+    # their traces from _trace.
     def shifted(right):
         def shifted(*args):
             trace = right(*args)
@@ -252,8 +276,7 @@ def test_a_trace_count_off_by_one_is_caught(monkeypatch):
 
         return shifted
 
-    for name in ("branch_trace", "_trace"):
-        monkeypatch.setattr(intersect, name, shifted(getattr(intersect, name)))
+    monkeypatch.setattr(intersect, "_trace", shifted(intersect._trace))
     with pytest.raises(TheoremViolation, match="points against"):
         intersection_report(validate(8, [12, 14, 15]))
     report = verify_classes(4, 9)

@@ -80,6 +80,8 @@ def test_product_with_an_empty_operand():
     a = {2: 5, 3: -7}
     assert _dot([(a, {})]) == {}
     assert _dot([({}, a)]) == {}
+    # a factor with only zero coefficients still sizes the slot
+    assert _dot([({0: 0}, {0: 128})]) == {}
 
 
 # ------------------------- F as y-coefficients, {x-exponent: coefficient}

@@ -12,9 +12,10 @@ multiplicity sequence of its own class (Casas-Alvero, Singularities of
 Plane Curves, 2000), which checks the class itself and not only its
 genus.  The two run lists are cut into different segments, so they are
 compared with equal neighbouring runs merged.  The series oracle runs
-on every class within its bounds, and a digest freezes its reports.
-The sweep runs each draw together with a class of the same prefix, so
-the second reuses the prefix levels built for the first.
+on every class within its bounds, and two digests freeze its reports
+and its samples.  The sweep runs each draw together with a class of
+the same prefix, so the second reuses the prefix levels built for the
+first.
 """
 
 import hashlib
@@ -28,7 +29,12 @@ from polarfactor.cluster import singularity_cluster
 from polarfactor.decompose import branch_trace, decompose
 from polarfactor.eqclass import enumerate_classes, validate
 from polarfactor.intersect import _sweep
-from polarfactor.oracle_series import MAX_CONDUCTOR, MAX_MULTIPLICITY, verify_class
+from polarfactor.oracle_series import (
+    MAX_CONDUCTOR,
+    MAX_MULTIPLICITY,
+    sample_parametrization,
+    verify_class,
+)
 
 MAX_N = 128
 MAX_M = 10**4
@@ -155,8 +161,10 @@ def test_a_raised_last_branch_exponent_is_caught(monkeypatch):
 
 
 def test_series_oracle_on_every_in_bound_class():
-    # every report field, frozen: a change to the sampling, the random
-    # draws or the arithmetic moves the digest
+    # every report field, frozen: a change to the route's arithmetic or
+    # to its attempts moves the digest.  Every report matches at its
+    # first attempt, so the fields hold no sampled coefficient, and a
+    # change to the sampling is left to the next test.
     digest = hashlib.sha256()
     for seed, E in enumerate(SERIES_CLASSES):
         report = verify_class(E, seed=seed)
@@ -170,4 +178,15 @@ def test_series_oracle_on_every_in_bound_class():
     assert len(SERIES_CLASSES) == 754
     assert digest.hexdigest() == (
         "7f2090464e59a001948e07a3e09a4988a6ad578fb39862b13368c0511f4f5821"
+    )
+
+
+def test_series_samples_on_every_in_bound_class():
+    # every sampled coefficient, frozen: a change to the sampling or its
+    # random draws moves the digest
+    digest = hashlib.sha256()
+    for seed, E in enumerate(SERIES_CLASSES):
+        digest.update(repr(sorted(sample_parametrization(E, seed).items())).encode())
+    assert digest.hexdigest() == (
+        "7ff883485e907386ffed0f9af087c2c0e615fcf5cd155481a348c0c2644a2623"
     )
