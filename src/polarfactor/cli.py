@@ -14,7 +14,7 @@ import sys
 from functools import cache
 from typing import Iterable, Iterator, Sequence
 
-from . import __version__, cluster
+from . import __version__, cluster, eqclass
 from .classify import scan
 from .cluster import polar_cluster, render, singularity_cluster
 from .decompose import PolarBranch, decompose
@@ -101,13 +101,11 @@ def _decompose_payload(E: EqClass) -> dict:
             {
                 "index": pkg.index,
                 "multiplicity": pkg.multiplicity,
-                "polar_quotient": {
-                    "num": pkg.quotient.numerator,
-                    "den": pkg.quotient.denominator,
-                },
+                "polar_quotient": {"num": q.numerator, "den": q.denominator},
                 "branches": [_branch_payload(b, j) for b, j in _numbered(pkg.types)],
             }
             for pkg in decompose(E).packages
+            for q in [eqclass.polar_quotient(E, pkg.index)]
         ],
         "intersections": _intersections_payload(E),
     }
@@ -125,7 +123,7 @@ def _print_decomposition_text(E: EqClass, matrix_only: bool) -> None:
         for pkg in D.packages:
             print(
                 f"package {pkg.index}: multiplicity {pkg.multiplicity}, "
-                f"polar quotient {pkg.quotient}, "
+                f"polar quotient {eqclass.polar_quotient(E, pkg.index)}, "
                 f"{sum(t.copies for t in pkg.types)} branch(es)"
             )
             for b, j in _numbered(pkg.types):

@@ -18,7 +18,6 @@ calls it, stays off cluster code.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 from typing import Iterator, NamedTuple
@@ -31,7 +30,6 @@ from .eqclass import (
     TheoremViolation,
     block_expansion,
     canonicalize_exponents,
-    polar_quotient,
 )
 
 __all__ = [
@@ -100,7 +98,6 @@ class PolarPackage:
     index: int
     types: tuple[PolarBranch, ...]
     multiplicity: int
-    quotient: Fraction
 
 
 @dataclass(frozen=True, slots=True)
@@ -121,7 +118,6 @@ class PolarDecomposition:
 class PackageSummary(NamedTuple):
     index: int
     multiplicity: int
-    quotient: Fraction
     branches: int
 
 
@@ -140,7 +136,10 @@ def decompose(E: EqClass) -> PolarDecomposition:
     Postconditions cross-checked on every call: package multiplicities
     match the descent-chain closed form and sum to n - 1.
     """
-    packages = tuple([_package(E, k) for k in range(1, E.genus + 1)])
+    packages = tuple([
+        _package(E, k, normalize_even(block_expansion(E, k).quotients))
+        for k in range(1, E.genus + 1)
+    ])
     wrong = _total_mismatch(E, sum(pkg.multiplicity for pkg in packages))
     if wrong:
         raise TheoremViolation(wrong)
@@ -155,14 +154,14 @@ def _total_mismatch(E: EqClass, total: int) -> str | None:
     return f"polar of {E} has multiplicity {total} != n - 1"
 
 
-def _package(E: EqClass, k: int) -> PolarPackage:
-    """Package k of decompose(E), its multiplicity checked against the
-    descent-chain closed form.  It reads only (n; m_1, ..., m_k), so it
-    is the same for every class with that prefix."""
+def _package(E: EqClass, k: int, hn: tuple[int, ...]) -> PolarPackage:
+    """Package k of decompose(E) read off hn, block k's even-normalized
+    ladder, its multiplicity checked against the descent-chain closed form.
+    It reads only (n; m_1, ..., m_k), so it is the same for every class
+    with that prefix."""
     n = E.multiplicity
     e_prev = E.gcds[k - 1]
     scale = n // e_prev
-    hn = normalize_even(block_expansion(E, k).quotients)
     gap_below = hn[0] == 0
     m_prev = E.exponent(k - 1)
     types: list[PolarBranch] = []
@@ -188,7 +187,7 @@ def _package(E: EqClass, k: int) -> PolarPackage:
             f"package {k} of {E}: constructed multiplicity {mult} != "
             f"descent-chain value {expected}"
         )
-    return PolarPackage(k, tuple(types), mult, polar_quotient(E, k))
+    return PolarPackage(k, tuple(types), mult)
 
 
 def require_member(E: EqClass, b: PolarBranch) -> PolarDecomposition:
@@ -213,20 +212,18 @@ def require_member(E: EqClass, b: PolarBranch) -> PolarDecomposition:
 def branch_count(E: EqClass, j: int) -> int:
     """Number of branches in package j: sum of the even-index quotients
     of the normalized block expansion.  Matches the copies of packages[j-1]."""
-    hn = normalize_even(block_expansion(E, j).quotients)
-    return sum(hn[a] for a in range(2, len(hn), 2))
+    return sum(normalize_even(block_expansion(E, j).quotients)[2::2])
 
 
 def package_summary(E: EqClass) -> tuple[PackageSummary, ...]:
-    """Per-package (multiplicity, polar quotient, branch count) from the
-    closed forms alone — no branch construction, so this is the cheap
+    """Per-package (multiplicity, branch count) from the closed forms
+    alone — no branch construction, so this is the cheap
     independent side of the decomposition cross-checks."""
     n = E.multiplicity
     return tuple(
         PackageSummary(
             k,
             (n // E.gcds[k - 1]) * (E.descents[k - 1] - 1),
-            polar_quotient(E, k),
             branch_count(E, k),
         )
         for k in range(1, E.genus + 1)

@@ -187,8 +187,11 @@ def canonicalize_exponents(n: int, exps: Sequence[int]) -> EqClass:
     may list exponents that do not drop the running gcd; those carry no
     equisingularity information and are dropped.  The survivors must
     bring the gcd down to 1, otherwise the tuple does not describe a
-    reduced branch and is rejected.  Idempotent on canonical input.
+    reduced branch and is rejected, and so is n < 2.  Idempotent on
+    canonical input.
     """
+    if n < 2:
+        raise InvalidClassError(f"multiplicity must be at least 2 (n = {n})")
     xs = tuple(exps)
     if not xs:
         raise InvalidClassError("no exponents given")

@@ -77,11 +77,19 @@ def pair_intersection(E: EqClass, b1: PolarBranch, b2: PolarBranch) -> int:
     1, Q_0 = 0 leaves p_i*q_u, which the decreasing odd convergent
     ratios make the minimum min(p_i*q_u, p_u*q_i).  Across packages
     l < k the branches separate where the shallower one leaves its
-    block: p_l*p_k*Q_l/(e_{l-1}*e_{k-1}).
+    block: p_l*p_k*Q_l/(e_{l-1}*e_{k-1}).  One type given twice stands
+    for two of its copies; a type with one copy raises ValueError.
     """
     require_member(E, b1)
     require_member(E, b2)
+    _require_pair(E, b1, b2)
     return _pair_intersection(E, b1, b2)
+
+
+def _require_pair(E: EqClass, b1: PolarBranch, b2: PolarBranch) -> None:
+    """Refuse a branch type of E with one copy as a pair with itself."""
+    if b1.copies == 1 and b1 == b2:
+        raise ValueError(f"{b1} has one copy in decompose({E}): no pair with itself")
 
 
 def _pair_intersection(E: EqClass, b1: PolarBranch, b2: PolarBranch) -> int:
@@ -113,9 +121,12 @@ def oracle_pair_intersection(E: EqClass, b1: PolarBranch, b2: PolarBranch) -> in
     No shared-prefix bookkeeping is needed: each trace ends at the
     branch's last segment and noether_sum reads the segments beyond as
     0, so the product of aligned runs cuts the sum to the common part.
-    branch_trace checks that both branches belong to E.
+    branch_trace checks that both branches belong to E; a type with one
+    copy given twice raises ValueError, as in pair_intersection.
     """
-    return noether_sum(branch_trace(E, b1), branch_trace(E, b2))
+    traces = branch_trace(E, b1), branch_trace(E, b2)
+    _require_pair(E, b1, b2)
+    return noether_sum(*traces)
 
 
 def branch_vs_curve(E: EqClass, b: PolarBranch) -> int:
@@ -407,8 +418,9 @@ def _level(E: EqClass, k: int, up: _Level) -> _Level:
 def _check_level(
     E: EqClass, k: int, lv: _Level, fail: Callable[[str, str, int], None]
 ) -> None:
-    """Extend lv by block k and package k of E and run their checks, in
-    order; a TheoremViolation stops them."""
+    """Extend lv by block k and package k of E, the package read off the
+    block's counts (its ladder), and run their checks in order; a
+    TheoremViolation stops them."""
     n = E.multiplicity
     whole = k == E.genus
     runs, counts, steps = _block(E, k)
@@ -434,7 +446,7 @@ def _check_level(
         if sq != scaled_polar_quotient(E, E.genus):
             fail("value_square_sum", f"{E}: sum v^2 = {sq}", 1)
 
-    pkg = _package(E, k)
+    pkg = _package(E, k, counts)
     types = pkg.types
     start = len(lv.types)
     lv.types += types

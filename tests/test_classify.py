@@ -118,13 +118,13 @@ def test_a_fault_in_a_prefix_package_stops_the_scan(monkeypatch):
     package = module._package
     seen = []
 
-    def prefix_only(E, k):
+    def prefix_only(E, k, hn):
         if k == E.genus:
-            return package(E, k)
+            return package(E, k, hn)
         seen.append(E)
         monkeypatch.setattr(module, "canonicalize_exponents", lambda n, xs: right(n, xs[:-1]))
         try:
-            return package(E, k)
+            return package(E, k, hn)
         finally:
             monkeypatch.setattr(module, "canonicalize_exponents", right)
 

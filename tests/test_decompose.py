@@ -16,7 +16,12 @@ from polarfactor.decompose import (
     package_summary,
     require_member,
 )
-from polarfactor.eqclass import TheoremViolation, enumerate_classes, validate
+from polarfactor.eqclass import (
+    TheoremViolation,
+    enumerate_classes,
+    polar_quotient,
+    validate,
+)
 
 
 def test_three_package_worked_example():
@@ -24,7 +29,8 @@ def test_three_package_worked_example():
     D = decompose(E)
     assert len(D.packages) == 3
     assert [pkg.multiplicity for pkg in D.packages] == [1, 2, 4]
-    assert [pkg.quotient for pkg in D.packages] == [12, 13, Fraction(53, 4)]
+    quotients = [polar_quotient(E, pkg.index) for pkg in D.packages]
+    assert quotients == [12, 13, Fraction(53, 4)]
     assert sum(pkg.multiplicity for pkg in D.packages) == 7
 
     b1, b2, b3 = D.branches()
@@ -41,9 +47,10 @@ def test_three_package_worked_example():
 
 
 def test_equisingular_copies_are_one_type():
-    D = decompose(validate(5, [7]))
+    E = validate(5, [7])
+    D = decompose(E)
     (pkg,) = D.packages
-    assert pkg.multiplicity == 4 and pkg.quotient == 7
+    assert pkg.multiplicity == 4 and polar_quotient(E, pkg.index) == 7
     (t,) = pkg.types
     assert t.copies == 2 and t.canonical == validate(2, [3])
     assert (t.p, t.q) == (2, 3)
@@ -102,11 +109,7 @@ def test_package_summary_agrees_with_decomposition():
     for n, ms in [(8, [12, 14, 15]), (10, [15, 22]), (6, [7]), (8, [19])]:
         E = validate(n, ms)
         for pkg, s in zip(decompose(E).packages, package_summary(E)):
-            assert (pkg.index, pkg.multiplicity, pkg.quotient) == (
-                s.index,
-                s.multiplicity,
-                s.quotient,
-            )
+            assert (pkg.index, pkg.multiplicity) == (s.index, s.multiplicity)
             assert sum(t.copies for t in pkg.types) == s.branches
     assert [s.multiplicity for s in package_summary(validate(10, [15, 22]))] == [1, 8]
 

@@ -147,6 +147,15 @@ def test_canonicalize_rejects_non_reduced_tuples():
         canonicalize_exponents(3, [])
 
 
+def test_canonicalize_refuses_a_multiplicity_below_2_first():
+    # validate's message, not one about the exponents that follow
+    for n, exps in [(1, [2]), (0, [1]), (1, []), (-2, [3])]:
+        with pytest.raises(
+            InvalidClassError, match=rf"^multiplicity must be at least 2 \(n = {n}\)$"
+        ):
+            canonicalize_exponents(n, exps)
+
+
 def test_enumerate_small_bounds():
     assert [E.notation() for E in enumerate_classes(2, 9, 1)] == [
         "2:3",

@@ -1,16 +1,23 @@
 """Closed-form intersection numbers against the Noether trace oracle."""
 
 import itertools
+import re
 import sys
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
-from polarfactor import intersect
+from polarfactor import cluster, intersect
 from polarfactor.cli import main
 from polarfactor.cluster import noether_sum, singularity_cluster
-from polarfactor.decompose import branch_trace, decompose
-from polarfactor.eqclass import TheoremViolation, enumerate_classes, validate
+from polarfactor.decompose import branch_trace, decompose, package_summary
+from polarfactor.eqclass import (
+    TheoremViolation,
+    _prefix_walk,
+    enumerate_classes,
+    validate,
+)
 from polarfactor.intersect import (
     SweepReport,
     _sweep,
@@ -481,7 +488,7 @@ def test_nothing_below_a_raising_prefix_runs(monkeypatch):
 
     def package_1_raises(E):
         try:
-            intersect._package(E, 1)
+            intersect._package(E, 1, right(E, 1)[1])
         except TheoremViolation:
             return True
         return False
@@ -497,8 +504,8 @@ def test_a_package_multiplicity_total_is_checked_per_class(monkeypatch):
     # over the packages, checked once per class, can see it.
     right = intersect._package
 
-    def heavier(E, k):
-        pkg = right(E, k)
+    def heavier(E, k, hn):
+        pkg = right(E, k, hn)
         return replace(pkg, multiplicity=pkg.multiplicity + 1) if k == 1 else pkg
 
     monkeypatch.setattr(intersect, "_package", heavier)
@@ -521,3 +528,63 @@ def test_a_prefix_failure_names_each_class_it_is_counted_for(monkeypatch):
     assert [ex.split(" of ")[1].split(":")[0] for ex in report.examples["pair_oracle"]] == [
         str(E) for E in classes
     ]
+
+
+def test_a_type_with_one_copy_has_no_pair_with_itself():
+    # Both routes refuse a single copy given twice, naming it, where the
+    # report's diagonal reads 0; a type with copies keeps its value.
+    singles = multiples = 0
+    for E in enumerate_classes(8, 40):
+        rep = intersection_report(E)
+        for g, t in enumerate(rep.types):
+            if t.copies == 1:
+                singles += 1
+                assert rep.matrix[g][g] == 0
+                for pair in (pair_intersection, oracle_pair_intersection):
+                    with pytest.raises(ValueError, match=re.escape(f"{t} has one copy")):
+                        pair(E, t, t)
+            else:
+                multiples += 1
+                assert pair_intersection(E, t, t) == rep.matrix[g][g]
+                assert oracle_pair_intersection(E, t, t) == rep.matrix[g][g]
+    assert singles and multiples
+
+
+def test_a_level_expands_its_block_twice_and_builds_no_fraction(monkeypatch):
+    # One expansion for the level's block and package, one for
+    # branch_count, package_summary's side of the package check; only the
+    # CLI prints a quotient, so nothing else builds a Fraction.
+    module = sys.modules["polarfactor.decompose"]
+    right = module.block_expansion
+    expansions = []
+    fractions = []
+    new = Fraction.__new__
+
+    def expand(E, k):
+        expansions.append((E, k))
+        return right(E, k)
+
+    def fraction(cls, *args, **kwargs):
+        fractions.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(cluster, "block_expansion", expand)
+    monkeypatch.setattr(module, "block_expansion", expand)
+    monkeypatch.setattr(Fraction, "__new__", fraction)
+    # a level per prefix the walk grows, and the last level of each class
+    classes = list(enumerate_classes(8, 40))
+    grown = []
+    for _ in _prefix_walk(classes, lambda E, k, up: grown.append(k), None):
+        pass
+    levels = len(grown) + len(classes)
+    assert verify_classes(8, 40).ok
+    assert len(expansions) == 2 * levels
+
+    decompose.cache_clear()
+    for E in (validate(8, [12, 14, 15]), validate(10**6 + 1, [2 * 10**6 + 1])):
+        expansions.clear()
+        decompose(E)
+        assert expansions == [(E, k) for k in range(1, E.genus + 1)]
+        package_summary(E)
+    decompose.cache_clear()
+    assert fractions == []
