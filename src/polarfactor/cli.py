@@ -204,7 +204,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     genus = args.genus
     if args.predicate == "smooth":
         genus = 1 if genus is None else min(1, genus)
-    hits = list(scan(args.max_n, args.max_m, genus))
+    hits = scan(args.max_n, args.max_m, genus)
     if args.json:
         payload = {
             "predicate": args.predicate,

@@ -105,38 +105,42 @@ def _derive(n: int, ms: tuple[int, ...]) -> EqClass:
     return EqClass(n, ms, tuple(gcds), descents, tuple(sg), conductor)
 
 
+def _check_tuple(n: int, xs: tuple[int, ...]) -> None:
+    """The rules on a raw tuple: n >= 2, genus >= 1, increasing, n < m_1."""
+    if n < 2:
+        raise InvalidClassError(f"multiplicity must be at least 2 (n = {n})")
+    if not xs:
+        raise InvalidClassError("genus must be at least 1 (no exponents given)")
+    if any(a >= b for a, b in zip(xs, xs[1:])):
+        raise InvalidClassError(f"exponents must be strictly increasing, got {xs}")
+    if xs[0] <= n:
+        raise InvalidClassError(f"m1 must exceed n (n = {n}, m1 = {xs[0]})")
+
+
 def validate(n: int, m: Sequence[int]) -> EqClass:
     """Check (n; m_1,...,m_r) and return the fully derived class.
 
     Raises InvalidClassError naming the violated invariant.  The checks,
-    in order: genus >= 1, n >= 2, exponents strictly increasing, n < m_1,
-    n does not divide m_1, no e_{k-1} divides m_k, and the gcd chain
-    reaches 1.
+    in order: the rules of _check_tuple, then, on the gcds that _derive
+    computes, n does not divide m_1, no e_{k-1} divides m_k, and the gcd
+    chain reaches 1.
     """
     ms = tuple(m)
-    if not ms:
-        raise InvalidClassError("genus must be at least 1 (no exponents given)")
-    if n < 2:
-        raise InvalidClassError(f"multiplicity must be at least 2 (n = {n})")
-    if any(a >= b for a, b in zip(ms, ms[1:])):
-        raise InvalidClassError(f"exponents must be strictly increasing, got {ms}")
-    if ms[0] <= n:
-        raise InvalidClassError(f"m1 must exceed n (n = {n}, m1 = {ms[0]})")
-    e = n
-    for k, mk in enumerate(ms, start=1):
-        if mk % e == 0:
+    _check_tuple(n, ms)
+    E = _derive(n, ms)
+    for k, (e, mk) in enumerate(zip(E.gcds, ms), start=1):
+        if E.gcds[k] == e:
             if k == 1:
                 raise InvalidClassError(f"n divides m1 (n = {n}, m1 = {mk})")
             raise InvalidClassError(
                 f"e{k - 1} divides m{k} (e{k - 1} = {e}, m{k} = {mk})"
             )
-        e = gcd(e, mk)
-    if e != 1:
+    if E.gcds[-1] != 1:
         raise InvalidClassError(
-            f"gcd(n, m1, ..., m{len(ms)}) = {e}, expected 1: "
+            f"gcd(n, m1, ..., m{len(ms)}) = {E.gcds[-1]}, expected 1: "
             "a further characteristic exponent is missing"
         )
-    return _derive(n, ms)
+    return E
 
 
 def block_expansion(E: EqClass, k: int) -> EuclidExpansion:
@@ -187,18 +191,12 @@ def canonicalize_exponents(n: int, exps: Sequence[int]) -> EqClass:
     may list exponents that do not drop the running gcd; those carry no
     equisingularity information and are dropped.  The survivors must
     bring the gcd down to 1, otherwise the tuple does not describe a
-    reduced branch and is rejected, and so is n < 2.  Idempotent on
-    canonical input.
+    reduced branch and is rejected, as is one breaking _check_tuple.  The
+    survivors, a subsequence of a checked tuple each lowering the gcd,
+    meet every rule of validate.  Idempotent on canonical input.
     """
-    if n < 2:
-        raise InvalidClassError(f"multiplicity must be at least 2 (n = {n})")
     xs = tuple(exps)
-    if not xs:
-        raise InvalidClassError("no exponents given")
-    if any(a >= b for a, b in zip(xs, xs[1:])):
-        raise InvalidClassError(f"exponents must be strictly increasing, got {xs}")
-    if xs[0] <= n:
-        raise InvalidClassError(f"first exponent must exceed n (n = {n}, got {xs[0]})")
+    _check_tuple(n, xs)
     kept = []
     e = n
     for x in xs:
@@ -210,7 +208,7 @@ def canonicalize_exponents(n: int, exps: Sequence[int]) -> EqClass:
         raise InvalidClassError(
             f"exponent tuple (n = {n}, {xs}) has final gcd {e}, expected 1"
         )
-    return validate(n, kept)
+    return _derive(n, tuple(kept))
 
 
 def enumerate_classes(

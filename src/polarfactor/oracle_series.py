@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 from .decompose import decompose
 from .eqclass import EqClass, TheoremViolation
-from .intersect import branch_vs_curve
+from .intersect import _checked_total, _raise, branch_vs_curve
 
 __all__ = [
     "SeriesReport",
@@ -81,19 +81,14 @@ def _pack(coeffs: dict[int, int], w: int, lo: int = 0, stride: int = 1) -> int:
     )
 
 
-def _unpack(
-    V: int, w: int, top: int | None = None, base: int = 0, start: int = 0, step: int = 1
-) -> dict[int, int]:
+def _unpack(V: int, w: int, base: int = 0, start: int = 0, step: int = 1) -> dict[int, int]:
     """The nonzero digits c_i of V = sum of c_i * 2^(8w * i) at the slots
-    i = start, start + step, ... below top, keyed base, base + 1, ...
+    i = start, start + step, ..., keyed base, base + 1, ...
 
-    Exact when every |c_i| < 2^(8w - 1) for i below top: adding half a
-    slot to every slot makes each digit a plain byte string, and the
-    digits at and above top only add a multiple of 2^(8w * top)."""
+    Exact when every |c_i| < 2^(8w - 1): adding half a slot to every
+    slot makes each digit a plain byte string."""
     s = 8 * w
     count = V.bit_length() // s + 1
-    if top is not None:
-        count = max(0, min(count, top))
     half = 1 << (s - 1)
     zero = half.to_bytes(w, "little")
     size = count * w
@@ -178,14 +173,13 @@ def implicitize(n: int, phi: dict[int, int]) -> tuple[dict[int, int], ...]:
     m = min(phi)
     w = _slot_bytes(sum(map(abs, phi.values())) ** n)
     psi = _pack(phi, w, m)
-    span = max(phi) - m
     # power_sums[i] = tr(phi^i) and coeffs[k] multiplies y^{n-k}, both in x
     power_sums = [{0: n}]
     power = 1
     for i in range(1, n + 1):
         power *= psi
         start = -i * m % n  # first slot j with n | i*m + j
-        traces = _unpack(power, w, i * span + 1, (i * m + start) // n, start, n)
+        traces = _unpack(power, w, (i * m + start) // n, start, n)
         power_sums.append({e: n * c for e, c in traces.items()})
     coeffs = [{0: 1}]
     for k in range(1, n + 1):
@@ -299,11 +293,8 @@ def verify_class(E: EqClass, seed: int | None = None, retries: int = 5) -> Serie
             f"{E} is beyond the desk-scale oracle bounds "
             f"(n <= {MAX_MULTIPLICITY}, conductor <= {MAX_CONDUCTOR})"
         )
-    expected = sum(t.copies * branch_vs_curve(E, t) for t in decompose(E).types())
-    if expected != E.milnor + n - 1:
-        raise TheoremViolation(
-            f"predicted total {expected} != mu + n - 1 for {E}"
-        )
+    types = tuple(decompose(E).types())
+    expected = _checked_total(E, types, [branch_vs_curve(E, t) for t in types], _raise)
     rng = random.Random(seed)
     nonzero = (-4, -3, -2, -1, 1, 2, 3, 4)
     attempts = 0

@@ -7,10 +7,16 @@ from pathlib import Path
 
 import pytest
 
-from polarfactor import __version__, cluster
+from polarfactor import __version__, cli, cluster
+from polarfactor.classify import ScanHit
 from polarfactor.cli import build_parser, main, parse_class_spec
 from polarfactor.cluster import singularity_cluster
-from polarfactor.eqclass import InvalidClassError, enumerate_classes, validate
+from polarfactor.eqclass import (
+    InvalidClassError,
+    TheoremViolation,
+    enumerate_classes,
+    validate,
+)
 
 
 def run(capsys, *argv):
@@ -248,6 +254,17 @@ def test_scan_tsv_and_json(capsys):
     doc = json.loads(out)
     assert doc["predicate"] == "genus-drop"
     assert {"class": "8:12,14,15", "lambda": 1, "max_branch_genus": 2} in doc["hits"]
+
+
+def test_scan_prints_each_row_as_it_is_found(capsys, monkeypatch):
+    # a failure after the first hit: that hit's row is out, then the failure
+    def failing(*args):
+        yield ScanHit(validate(2, [3]), 2, 0)
+        raise TheoremViolation("injected")
+
+    monkeypatch.setattr(cli, "scan", failing)
+    code, out, err = run(capsys, "scan", "smooth", "--max-n", "4", "--max-m", "9")
+    assert (code, out, err) == (1, "2:3\t2\t0\n", "verification failure: injected\n")
 
 
 def test_version_is_the_project_version(capsys):

@@ -147,6 +147,22 @@ def test_canonicalize_rejects_non_reduced_tuples():
         canonicalize_exponents(3, [])
 
 
+@pytest.mark.parametrize("check", [validate, canonicalize_exponents])
+@pytest.mark.parametrize(
+    "n, exps, message",
+    [
+        (1, [], r"multiplicity must be at least 2 \(n = 1\)"),
+        (4, [], r"genus must be at least 1 \(no exponents given\)"),
+        (4, [6, 6, 7], r"exponents must be strictly increasing, got \(6, 6, 7\)"),
+        (4, [3], r"m1 must exceed n \(n = 4, m1 = 3\)"),
+    ],
+    ids=["n", "genus", "increasing", "m1"],
+)
+def test_both_refuse_a_tuple_rule_with_one_message(check, n, exps, message):
+    with pytest.raises(InvalidClassError, match=rf"^{message}$"):
+        check(n, exps)
+
+
 def test_canonicalize_refuses_a_multiplicity_below_2_first():
     # validate's message, not one about the exponents that follow
     for n, exps in [(1, [2]), (0, [1]), (1, []), (-2, [3])]:

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from polarfactor import cluster, intersect
+from polarfactor import cluster, eqclass, intersect
 from polarfactor.cli import main
 from polarfactor.cluster import noether_sum, singularity_cluster
 from polarfactor.decompose import branch_trace, decompose, package_summary
@@ -588,3 +588,24 @@ def test_a_level_expands_its_block_twice_and_builds_no_fraction(monkeypatch):
         package_summary(E)
     decompose.cache_clear()
     assert fractions == []
+
+
+def test_the_sweep_checks_each_branch_tuple_once(monkeypatch):
+    # canonicalize_exponents checks a branch's tuple and derives the kept
+    # exponents itself: no validate runs behind it
+    module = sys.modules["polarfactor.decompose"]
+    canonicalize, check = module.canonicalize_exponents, eqclass.validate
+    calls = {"canonicalize": 0, "validate": 0}
+
+    def counted(name, right):
+        def wrapped(*args):
+            calls[name] += 1
+            return right(*args)
+        return wrapped
+
+    monkeypatch.setattr(
+        module, "canonicalize_exponents", counted("canonicalize", canonicalize)
+    )
+    monkeypatch.setattr(eqclass, "validate", counted("validate", check))
+    assert verify_classes(8, 40).ok
+    assert calls["canonicalize"] > 0 and calls["validate"] == 0

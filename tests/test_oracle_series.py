@@ -246,6 +246,16 @@ def test_verify_class_resamples_then_reports_a_mismatch(monkeypatch):
     assert "MISMATCH" in report.summary()
 
 
+def test_verify_class_checks_the_predicted_total_as_the_report_does(monkeypatch):
+    right = oracle_series.branch_vs_curve
+    monkeypatch.setattr(oracle_series, "branch_vs_curve", lambda E, t: right(E, t) + 1)
+    with pytest.raises(
+        TheoremViolation,
+        match=r"^I\(f, P\(f\)\) = 4 for K\(2;3\), expected mu \+ n - 1 = 3$",
+    ):
+        verify_class(validate(2, [3]), seed=1)
+
+
 def test_order_window_raises_far_beyond_the_expected_order():
     # along (t^2, t^3), x^k vanishes to order 2k; the window ends at 8*(0 + 2 + 4)
     phi = {3: 1}
