@@ -9,8 +9,8 @@ supposed to summarize, so scans can run both and compare:
                 lambda >= 1.
   smooth polar  (genus-1 classes) every polar branch is smooth; happens
                 exactly when m = lambda*n - 1, the genus-drop condition
-                read at r = 1, so its predicate is genus_drop and its
-                scan is the genus-drop scan capped at genus 1.
+                read at r = 1, so its scan is the genus-drop scan capped
+                at genus 1.
 """
 
 from __future__ import annotations
@@ -23,26 +23,14 @@ from .eqclass import EqClass, TheoremViolation, enumerate_classes
 
 __all__ = [
     "ScanHit",
-    "genus_drop",
     "genus_drop_lambda",
     "max_branch_genus",
     "scan",
-    "smooth_scan_pairs",
 ]
 
 
 def max_branch_genus(E: EqClass) -> int:
     return max(t.genus for t in decompose(E).types())
-
-
-def genus_drop(E: EqClass) -> bool:
-    """True when every branch of the general polar has genus < r.
-
-    Closed form: m_r + 1 is a multiple of e_{r-1} beyond m_{r-1}, i.e.
-    m_r - m_{r-1} + 1 = lambda * e_{r-1}.  The class invariant
-    e_{r-1} does not divide m_r - m_{r-1} keeps lambda >= 1 honest.
-    """
-    return genus_drop_lambda(E) is not None
 
 
 def genus_drop_lambda(E: EqClass) -> int | None:
@@ -84,11 +72,3 @@ def scan(
             )
         if lam is not None:
             yield ScanHit(E, lam, constructive)
-
-
-def smooth_scan_pairs(max_n: int, max_m: int) -> list[tuple[int, int]]:
-    """Convenience wrapper: the (n, m) pairs with an all-smooth polar."""
-    return [
-        (hit.eqclass.multiplicity, hit.eqclass.exponents[0])
-        for hit in scan(max_n, max_m, 1)
-    ]

@@ -1,7 +1,8 @@
 """Command-line surface: decompose, enriques, matrix, verify, scan.
 
 Class input uses the grammar "n:m1,m2,..." everywhere.  Exit codes:
-0 success, 1 a verification found a mismatch, 2 invalid input.
+0 success, 1 a verification found a mismatch, 2 invalid input or an
+output holding an integer past CPython's int-to-string digit limit.
 JSON output is deterministic (insertion-ordered keys, indent 2) and
 round-trips byte-identically through json.loads/json.dumps.
 """
@@ -12,12 +13,12 @@ import argparse
 import json
 import sys
 from functools import cache
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 from . import __version__, cluster, eqclass
 from .classify import scan
 from .cluster import polar_cluster, render, singularity_cluster
-from .decompose import PolarBranch, decompose
+from .decompose import PolarBranch, PolarDecomposition, decompose
 from .eqclass import EqClass, InvalidClassError, TheoremViolation, validate
 from .intersect import intersection_report, verify_classes
 from .oracle_series import verify_class
@@ -33,11 +34,32 @@ def parse_class_spec(text: str) -> EqClass:
             raise ValueError
         n = int(head)
         ms = [int(x) for x in tail.split(",")]
-    except ValueError:
+    except ValueError as exc:
+        if str(exc).startswith("Exceeds the limit"):  # CPython's digit limit
+            raise _too_long("class spec") from None
         raise InvalidClassError(
             f"malformed class spec {text!r}: expected 'n:m1,m2,...'"
         ) from None
     return validate(n, ms)
+
+
+def _too_long(what: str) -> InvalidClassError:
+    limit = sys.get_int_max_str_digits()
+    return InvalidClassError(
+        f"{what} has an integer of more than {limit} digits "
+        f"(sys.get_int_max_str_digits() = {limit})"
+    )
+
+
+def _write(file: TextIO, make: Callable[[], str]) -> None:
+    """Format a whole output, then write it at once.  Formatting only
+    converts integers to text, so its ValueError is an integer past the
+    digit limit, and nothing is written."""
+    try:
+        text = make()
+    except ValueError:
+        raise _too_long("the output") from None
+    file.write(text)
 
 
 def _class_payload(E: EqClass) -> dict:
@@ -111,60 +133,68 @@ def _decompose_payload(E: EqClass) -> dict:
     }
 
 
-def _print_decomposition_text(E: EqClass, matrix_only: bool) -> None:
-    D = decompose(E)
-    inter = _intersections_payload(E)
+def _decomposition_text(
+    E: EqClass, D: PolarDecomposition, quotients: list, inter: dict, matrix_only: bool
+) -> str:
     names = [f"[{b.package},{b.depth},{j}]" for b, j in _numbered(D.types())]
+    lines = []
     if not matrix_only:
-        print(
+        lines.append(
             f"{E}  multiplicity {E.multiplicity}  genus {E.genus}  "
             f"conductor {E.conductor}"
         )
-        for pkg in D.packages:
-            print(
+        for pkg, q in zip(D.packages, quotients):
+            lines.append(
                 f"package {pkg.index}: multiplicity {pkg.multiplicity}, "
-                f"polar quotient {eqclass.polar_quotient(E, pkg.index)}, "
+                f"polar quotient {q}, "
                 f"{sum(t.copies for t in pkg.types)} branch(es)"
             )
             for b, j in _numbered(pkg.types):
                 body = str(b.canonical) if b.canonical is not None else "smooth"
-                print(
+                lines.append(
                     f"  xi[{b.package},{b.depth},{j}]  {body}  "
                     f"(p,q)=({b.p},{b.q})  raw {b.exponents}  "
                     f"mult {b.multiplicity}  genus {b.genus}"
                 )
     for pair in inter["pairs"]:
-        print(f"I({names[pair['a']]}, {names[pair['b']]}) = {pair['value']}")
+        lines.append(f"I({names[pair['a']]}, {names[pair['b']]}) = {pair['value']}")
     with_curve = ", ".join(
         f"{name}: {val}" for name, val in zip(names, inter["with_curve"])
     )
-    print(f"with curve: {with_curve}")
-    print(
+    lines.append(f"with curve: {with_curve}")
+    lines.append(
         f"total curve-polar intersection = {inter['total']} "
         f"(milnor {E.milnor} + multiplicity {E.multiplicity} - 1)"
     )
+    return "\n".join(lines) + "\n"
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
     E = parse_class_spec(args.cls)
-    size = sum(t.copies for t in decompose(E).types())
+    D = decompose(E)
+    size = sum(t.copies for t in D.types())
     pairs = size * (size - 1) // 2
     if pairs > cluster.MAX_RENDER_POINTS:
-        print(
+        _write(sys.stderr, lambda: (
             f"error: {E} has {pairs} branch pairs; listing stops at "
-            f"{cluster.MAX_RENDER_POINTS}",
-            file=sys.stderr,
-        )
+            f"{cluster.MAX_RENDER_POINTS}\n"
+        ))
         return 2
+    # compute the whole response first; _write only formats it
     if args.json:
         payload = (
             _intersections_payload(E)
             if args.matrix_only
             else _decompose_payload(E)
         )
-        print(json.dumps(payload, indent=2))
+        _write(sys.stdout, lambda: json.dumps(payload, indent=2) + "\n")
     else:
-        _print_decomposition_text(E, args.matrix_only)
+        quotients = [eqclass.polar_quotient(E, pkg.index) for pkg in D.packages]
+        inter = _intersections_payload(E)
+        _write(
+            sys.stdout,
+            lambda: _decomposition_text(E, D, quotients, inter, args.matrix_only),
+        )
     return 0
 
 

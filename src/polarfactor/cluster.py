@@ -16,8 +16,8 @@ lies in the first neighbourhood of point i - 1.  A point is free when
 it is proximate only to its parent and satellite when one more
 ancestor sees it (it lies on that ancestor's exceptional divisor); that
 second proximity target is what the staircase encodes.  Only
-``render`` expands runs into points and names them by their
-block.row.position labels.
+``render`` and ``Cluster.values`` expand runs into points; ``render``
+names them by their block.row.position labels.
 """
 
 from __future__ import annotations
@@ -40,9 +40,9 @@ __all__ = [
     "singularity_cluster",
 ]
 
-# render is the only code that expands runs into points; above this
-# many points it refuses instead of building the listing.  The CLI's
-# decompose and matrix refuse above this many branch pairs.
+# Above this many points render refuses instead of building the
+# listing.  The CLI's decompose and matrix refuse above this many
+# branch pairs.
 MAX_RENDER_POINTS = 100_000
 
 
@@ -58,9 +58,9 @@ class Cluster:
     share the identical ``counts`` and ``steps`` tuples, so "same
     support" is literal object identity.
 
-    The per-point views (``values``, ``rows``, ``second_proximities``,
-    ``block_spans``) expand the runs again on every access; they serve
-    display and tests, while computations stay on the runs.
+    ``values`` expands the runs into one valuation per point on every
+    access, for comparison with per-point references; computations stay
+    on the runs.
     """
 
     eqclass: EqClass
@@ -75,22 +75,6 @@ class Cluster:
     def values(self) -> tuple[int, ...]:
         """The virtual multiplicity of each point in chain order."""
         return _points(self)[0]
-
-    @property
-    def rows(self) -> tuple[int, ...]:
-        """Each point's row in its block's staircase."""
-        return _points(self)[1]
-
-    @property
-    def second_proximities(self) -> tuple[int | None, ...]:
-        """Each satellite's extra proximity target, None for a free point."""
-        return _points(self)[2]
-
-    @property
-    def block_spans(self) -> tuple[tuple[int, int], ...]:
-        """The half-open point range of each block; its terminal point
-        sits at the end."""
-        return _points(self)[3]
 
 
 def _points(C: Cluster) -> tuple[tuple, tuple, tuple, tuple]:
@@ -262,7 +246,8 @@ def render(C: Cluster, fmt: str = "text") -> str:
     Both outputs are deterministic.  A cluster of more than
     MAX_RENDER_POINTS points raises ValueError.
     """
-    size = len(C)
+    # sum, not len: len() refuses a size above sys.maxsize
+    size = sum(C.counts)
     if size > MAX_RENDER_POINTS:
         raise ValueError(
             f"{C.eqclass} has {size} cluster points; rendering stops at "

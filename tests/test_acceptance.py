@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from polarfactor.classify import scan, smooth_scan_pairs
+from polarfactor.classify import scan
 from polarfactor.cluster import polar_cluster, singularity_cluster
 from polarfactor.decompose import branch_trace, decompose
 from polarfactor.eqclass import enumerate_classes, validate
@@ -196,8 +196,10 @@ def test_criterion_08_genus_drop_and_smooth_characterizations():
     # scan() raises TheoremViolation on any formula/construction mismatch,
     # so completing the loops is the proof; the counts freeze coverage.
     drops = sum(1 for _ in scan(FULL_N, FULL_M))
-    smooth = smooth_scan_pairs(12, 60)
-    small = smooth_scan_pairs(4, 9)
+    smooth, small = (
+        [(h.eqclass.multiplicity, h.eqclass.exponents[0]) for h in scan(n, m, 1)]
+        for n, m in [(12, 60), (4, 9)]
+    )
     ok = (
         drops == 162148
         and len(smooth) == 113

@@ -7,11 +7,9 @@ import pytest
 
 from polarfactor.classify import (
     ScanHit,
-    genus_drop,
     genus_drop_lambda,
     max_branch_genus,
     scan,
-    smooth_scan_pairs,
 )
 from polarfactor.decompose import decompose
 from polarfactor.eqclass import (
@@ -31,14 +29,12 @@ def smooth_polar(n: int, m: int) -> bool:
 
 
 def test_genus_drop_examples():
-    assert genus_drop(validate(8, [12, 14, 15]))
     assert genus_drop_lambda(validate(8, [12, 14, 15])) == 1
-    assert genus_drop(validate(4, [6, 7]))
-    assert not genus_drop(validate(10, [15, 22]))
+    assert genus_drop_lambda(validate(4, [6, 7])) is not None
     assert genus_drop_lambda(validate(10, [15, 22])) is None
     # genus 1 reads the same condition at r = 1: m = lambda*n - 1
-    assert genus_drop(validate(2, [3])) and genus_drop_lambda(validate(2, [3])) == 2
-    assert not genus_drop(validate(5, [7]))
+    assert genus_drop_lambda(validate(2, [3])) == 2
+    assert genus_drop_lambda(validate(5, [7])) is None
 
 
 def test_genus_drop_matches_the_construction():
@@ -51,7 +47,7 @@ def test_genus_drop_matches_the_construction():
         (12, [18, 21, 23]),
     ]:
         E = validate(n, ms)
-        assert genus_drop(E) == (max_branch_genus(E) <= E.genus - 1)
+        assert (genus_drop_lambda(E) is not None) == (max_branch_genus(E) <= E.genus - 1)
 
 
 def test_smooth_polar_examples():
@@ -61,7 +57,7 @@ def test_smooth_polar_examples():
     assert not smooth_polar(8, 19)
     # the genus-1 reading of the production predicate agrees
     for n, m in [(2, 3), (4, 7), (5, 7), (8, 19)]:
-        assert genus_drop(validate(n, [m])) == smooth_polar(n, m)
+        assert (genus_drop_lambda(validate(n, [m])) is not None) == smooth_polar(n, m)
 
 
 def test_smooth_polar_rejects_invalid_data():
@@ -74,7 +70,8 @@ def test_smooth_polar_rejects_invalid_data():
 
 
 def test_smooth_scan_frozen_set():
-    assert smooth_scan_pairs(4, 9) == [
+    pairs = [(h.eqclass.multiplicity, h.eqclass.exponents[0]) for h in scan(4, 9, 1)]
+    assert pairs == [
         (2, 3), (2, 5), (2, 7), (2, 9), (3, 5), (3, 8), (4, 7),
     ]
 
@@ -104,7 +101,7 @@ def test_scan_equals_the_class_by_class_reference():
     want = [
         ScanHit(E, genus_drop_lambda(E), max_branch_genus(E))
         for E in enumerate_classes(16, 60)
-        if genus_drop(E)
+        if genus_drop_lambda(E) is not None
     ]
     assert len(want) == 3532
     assert list(scan(16, 60)) == want

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -179,6 +180,56 @@ def test_pair_listings_refuse_above_the_bound(capsys, monkeypatch):
         assert err == "error: K(5;9) has 6 branch pairs; listing stops at 5\n"
     code, out, _ = run(capsys, "matrix", "8:12,14,15")
     assert code == 0 and "total curve-polar intersection = 91" in out
+
+
+@pytest.mark.parametrize("flags", [(), ("--polar",), ("--dot",)])
+def test_enriques_refuses_a_cluster_past_sys_maxsize(capsys, flags):
+    # K(2; 2^64 + 1) has 2^63 + 2 points, more than len() can return
+    code, out, err = run(capsys, "enriques", f"2:{2**64 + 1}", *flags)
+    assert code == 2 and out == ""
+    assert err.endswith("cluster points; rendering stops at 100000\n")
+
+
+@pytest.fixture
+def digit_limit():
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield "more than 4300 digits (sys.get_int_max_str_digits() = 4300)"
+    sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("decompose",), ("decompose", "--json"), ("matrix",), ("matrix", "--json")],
+)
+def test_an_output_past_the_digit_limit_is_refused(capsys, digit_limit, argv):
+    # every input integer parses, but the total and the semigroup do not print
+    spec = f"1000000007:{10**4299 + 1}"
+    code, out, err = run(capsys, argv[0], spec, *argv[1:])
+    assert code == 2 and out == ""
+    assert err == f"error: the output has an integer of {digit_limit}\n"
+
+
+def test_a_pair_count_past_the_digit_limit_is_refused(capsys, digit_limit):
+    # 10^4000 - 1 smooth branches: the refusal's own pair count is too long
+    n = 10**4000
+    code, out, err = run(capsys, "decompose", f"{n}:{2 * n - 1}")
+    assert code == 2 and out == ""
+    assert err == f"error: the output has an integer of {digit_limit}\n"
+
+
+def test_a_spec_integer_past_the_digit_limit_is_named(capsys, digit_limit):
+    code, out, err = run(capsys, "decompose", "2:1" + "0" * 4299 + "1")
+    assert code == 2 and out == ""
+    assert err == f"error: class spec has an integer of {digit_limit}\n"
+
+
+def test_an_output_within_the_digit_limit_is_answered(capsys, digit_limit):
+    E = validate(3, [10**4000 + 1])
+    code, out, _ = run(capsys, "decompose", E.notation(), "--json")
+    assert code == 0
+    total = json.loads(out)["intersections"]["total"]
+    assert total == E.milnor + E.multiplicity - 1 and len(str(total)) == 4001
 
 
 def test_decompose_json_is_byte_identical_over_the_sweep_box(capsys):

@@ -85,10 +85,8 @@ def test_runs_expand_to_the_per_point_reference():
     for E in itertools.chain(enumerate_classes(10, 60), LONG_CLASSES):
         values, rows, seconds, spans = reference_cluster(E)
         curve, polar = singularity_cluster(E), polar_cluster(E)
-        assert (curve.values, curve.rows, curve.second_proximities) == (
-            values, rows, seconds,
-        ), E
-        assert curve.block_spans == spans and len(curve) == len(values), E
+        assert cluster._points(curve) == (values, rows, seconds, spans), E
+        assert len(curve) == len(values), E
         assert polar.values == reference_polar_values(E), E
         for C in (curve, polar):
             report = check_proximity(C)
@@ -175,21 +173,23 @@ def test_polar_shares_the_support_tuple():
     assert polar.runs == (7, 4, 3, 3, 2, 1, 1, 1, 0)
     assert polar.counts is curve.counts
     assert polar.steps is curve.steps
-    assert polar.block_spans == curve.block_spans
+    assert cluster._points(polar)[3] == cluster._points(curve)[3]
 
 
 def test_chain_structure_and_kinds():
     C = singularity_cluster(validate(2, [3]))
-    assert C.rows == (0, 1, 1)
-    assert C.second_proximities == (None, None, 0)
+    _, rows, seconds, _ = cluster._points(C)
+    assert rows == (0, 1, 1)
+    assert seconds == (None, None, 0)
     points = [line.split() for line in render(C).splitlines()[1:]]
     assert [p[0] for p in points] == ["1.0.1", "1.1.1", "1.1.2"]
     assert [p[2] for p in points] == ["free", "free", "satellite"]
 
     C = singularity_cluster(validate(5, [7]))
-    assert C.rows == (0, 1, 1, 2, 2)
+    _, rows, seconds, _ = cluster._points(C)
+    assert rows == (0, 1, 1, 2, 2)
     # successive rows lean on the previous row's last point
-    assert C.second_proximities == (None, None, 0, 0, 2)
+    assert seconds == (None, None, 0, 0, 2)
     points = [line.split() for line in render(C).splitlines()[1:]]
     assert [p[2] for p in points] == [
         "free", "free", "satellite", "satellite", "satellite",
@@ -198,10 +198,11 @@ def test_chain_structure_and_kinds():
 
 def test_block_spans_and_terminals():
     C = singularity_cluster(validate(8, [12, 14, 15]))
-    assert C.block_spans == ((0, 3), (3, 5), (5, 7))
+    _, _, seconds, spans = cluster._points(C)
+    assert spans == ((0, 3), (3, 5), (5, 7))
     assert len(C) == 7
     # a gap-below block's first row leans on the previous terminal
-    assert C.second_proximities == (None, None, 0, None, 2, None, 4)
+    assert seconds == (None, None, 0, None, 2, None, 4)
 
 
 def test_curve_proximity_equality_except_final_point():
