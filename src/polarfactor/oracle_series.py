@@ -26,10 +26,12 @@ Every series product is one integer product (Kronecker substitution,
 as in Harvey, J. Symb. Comp. 44, 2009): a series becomes one Python int
 at t = 2^(8w), w bytes per coefficient, enough for a proven bound on
 the result's coefficients plus a sign bit, and the digits are read
-back exactly.  So the cost depends on the size of the packed integers,
-about n * conductor slots of O(n * log ||y||_1) bits each for the
-powers y(t)^i and for F(t^n, y(t)), and not on the product of the term
-counts.  The oracle is still restricted to desk scale (n <= 10,
+back exactly.  Implicitization uses one slot width, from the bound
+n * 2^n * ||y||_1^n (see implicitize), and each Newton sum is one sum
+of packed products.  The cost depends on the size of the packed
+integers, about n * conductor slots of O(n * log ||y||_1) bits each
+for the powers y(t)^i and for F(t^n, y(t)), not on the product of the
+term counts.  The oracle is still restricted to desk scale (n <= 10,
 conductor <= 120): its point is independent spot checks, not sweeps.
 """
 
@@ -65,11 +67,13 @@ def _slot_bytes(bound: int) -> int:
 
 def _pack(coeffs: dict[int, int], w: int, lo: int = 0, stride: int = 1) -> int:
     """The integer sum of c * 2^(8w * stride * (e - lo)) over the
-    terms c*t^e of a nonempty series, lo <= e; every |c| must be below
-    2^(8w - 1).
+    terms c*t^e of a series, lo <= e, so 0 for the empty series; every
+    |c| must be below 2^(8w - 1).
 
     Each coefficient is written into its slot plus half a slot, so the
     slots are nonnegative bytes, and the same bias is subtracted once."""
+    if not coeffs:
+        return 0
     half = 1 << (8 * w - 1)
     zero = half.to_bytes(w, "little")
     length = (max(coeffs) - lo) * stride + 1
@@ -100,29 +104,6 @@ def _unpack(V: int, w: int, base: int = 0, start: int = 0, step: int = 1) -> dic
         for k, d in enumerate(digits)
         if d != zero
     }
-
-
-def _dot(pairs: list[tuple[dict[int, int], dict[int, int]]]) -> dict[int, int]:
-    """Coefficients of the sum of the products a*b over pairs of
-    coefficient dicts: one integer product per pair, summed, and the
-    digits read back once.
-
-    The slot holds every factor's |.|_max and the sum over pairs of
-    min(#a, #b)*|a|_max*|b|_max, which bounds every coefficient of the sum."""
-    pairs = [(a, b) for a, b in pairs if a and b]
-    if not pairs:
-        return {}
-    norms = [(max(map(abs, a.values())), max(map(abs, b.values()))) for a, b in pairs]
-    w = _slot_bytes(max(
-        sum(min(len(a), len(b)) * x * y for (a, b), (x, y) in zip(pairs, norms)),
-        *map(max, norms),
-    ))
-    lows = [(min(a), min(b)) for a, b in pairs]
-    lo = min(la + lb for la, lb in lows)
-    total = 0
-    for (a, b), (la, lb) in zip(pairs, lows):
-        total += (_pack(a, w, la) * _pack(b, w, lb)) << (8 * w * (la + lb - lo))
-    return _unpack(total, w, base=lo)
 
 
 def sample_parametrization(E: EqClass, seed: int | None = None) -> dict[int, int]:
@@ -168,22 +149,29 @@ def implicitize(n: int, phi: dict[int, int]) -> tuple[dict[int, int], ...]:
         raise ValueError("parametrization must have positive order")
     if n < 2:
         raise ValueError(f"multiplicity must be at least 2, got {n}")
-    # ||phi^i||_inf <= ||phi||_1^i, so one slot width serves every power;
-    # phi = t^m * psi, and power = psi^i at t = 2^(8w)
+    # One slot width w serves every packed value.  With s^n = x, p_i and
+    # c_j are the power sums and elementary symmetric functions of the
+    # conjugates phi(zeta^l s), so ||p_i||_1 <= n * ||phi||_1^i and
+    # ||c_j||_1 <= C(n, j) * ||phi||_1^j.  Every coefficient of the Newton
+    # sum sum_i c_{k-i} * p_i is then at most n * 2^n * ||phi||_1^n, and
+    # every digit of psi^i at most ||phi||_1^i.  phi = t^m * psi, and
+    # power = psi^i at t = 2^(8w)
     m = min(phi)
-    w = _slot_bytes(sum(map(abs, phi.values())) ** n)
+    w = _slot_bytes((n << n) * sum(map(abs, phi.values())) ** n)
     psi = _pack(phi, w, m)
-    # power_sums[i] = tr(phi^i) and coeffs[k] multiplies y^{n-k}, both in x
-    power_sums = [{0: n}]
+    # P[i] = tr(phi^i) and C[j] = c_j, the coefficient of y^{n-j}, packed in x
+    P = [0]
     power = 1
     for i in range(1, n + 1):
         power *= psi
         start = -i * m % n  # first slot j with n | i*m + j
         traces = _unpack(power, w, (i * m + start) // n, start, n)
-        power_sums.append({e: n * c for e, c in traces.items()})
+        P.append(_pack({e: n * c for e, c in traces.items()}, w))
     coeffs = [{0: 1}]
+    C = []
     for k in range(1, n + 1):
-        acc = _dot([(coeffs[k - i], power_sums[i]) for i in range(1, k + 1)])
+        C.append(_pack(coeffs[-1], w))
+        acc = _unpack(sum(C[k - i] * P[i] for i in range(1, k + 1)), w)
         quotient: dict[int, int] = {}
         for e, c in acc.items():
             quotient[e], r = divmod(-c, k)
@@ -221,12 +209,10 @@ def _horner(F: tuple[dict[int, int], ...], n: int, phi: dict[int, int]) -> tuple
         sum(map(abs, Fj.values())) * norm**j for j, Fj in enumerate(F)
     ))
     m = min(phi, default=0)
-    psi = _pack(phi, w, m) if phi else 0
+    psi = _pack(phi, w, m)
     V = 0
     for Fj in reversed(F):
-        V = (V * psi) << (8 * w * m)
-        if Fj:
-            V += _pack(Fj, w, 0, n)
+        V = ((V * psi) << (8 * w * m)) + _pack(Fj, w, 0, n)
     return V, w
 
 

@@ -1,12 +1,16 @@
 """Command-line surface: subcommands, exit codes, JSON stability."""
 
 import hashlib
+import io
 import json
 import re
 import sys
+import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from polarfactor import __version__, cli, cluster
 from polarfactor.classify import ScanHit
@@ -230,6 +234,74 @@ def test_an_output_within_the_digit_limit_is_answered(capsys, digit_limit):
     assert code == 0
     total = json.loads(out)["intersections"]["total"]
     assert total == E.milnor + E.multiplicity - 1 and len(str(total)) == 4001
+
+
+@st.composite
+def class_specs(draw):
+    """(n, [m1, ...]) of a valid class of genus g <= 8 with n <= 2^64.
+    With e_k = d_{k+1}*...*d_g, m_k = m_{k-1} + e_{k-1}*x + e_k keeps
+    gcd(e_{k-1}, m_k) = e_k (m_0 = n).  An exponent has up to 4310
+    digits, often close to the 4300-digit limit, so that some outputs
+    and a few exponents pass it."""
+    g = draw(st.integers(1, 8))
+    descents = draw(st.lists(st.integers(2, 2 ** (64 // g)), min_size=g, max_size=g))
+    n = 1
+    for d in descents:
+        n *= d
+    e, m, ms = n, n, []
+    for d in descents:
+        digits = draw(st.integers(0, 4310) | st.integers(4280, 4302))
+        x = draw(st.integers(0, 10 ** max(0, digits - len(str(e)))))
+        m += e * x + e // d
+        e //= d
+        ms.append(m)
+    return n, ms
+
+
+CLI_COMMANDS = (
+    "decompose {}",
+    "decompose {} --json",
+    "matrix {} --json",
+    "enriques {}",
+    "enriques {} --polar --dot",
+    "verify series {}",
+)
+
+
+def spec_text(n, ms):
+    """The class spec 'n:m1,...', also when an integer passes the digit
+    limit."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return f"{n}:{','.join(map(str, ms))}"
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+@settings(
+    derandomize=True, max_examples=120, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(class_specs())
+def test_the_cli_answers_or_refuses_every_class(digit_limit, case):
+    # never a traceback: exit 0, or exit 2 with an error line, in time
+    spec = spec_text(*case)
+    too_long = max(map(len, re.split("[:,]", spec))) > 4300
+    if not too_long:
+        validate(*case)
+    for command in CLI_COMMANDS:
+        argv = [spec if word == "{}" else word for word in command.split()]
+        out, err = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        assert time.perf_counter() - start < 10, command
+        assert code in (0, 2), (command, err.getvalue())
+        if code == 2:
+            assert err.getvalue().startswith("error: ") and out.getvalue() == ""
+        if too_long:
+            assert err.getvalue() == f"error: class spec has an integer of {digit_limit}\n"
 
 
 def test_decompose_json_is_byte_identical_over_the_sweep_box(capsys):

@@ -9,7 +9,9 @@ from hypothesis import given, settings, strategies as st
 from polarfactor import oracle_series
 from polarfactor.eqclass import TheoremViolation, validate
 from polarfactor.oracle_series import (
-    _dot,
+    _pack,
+    _slot_bytes,
+    _unpack,
     evaluate_on_parametrization,
     implicitize,
     polar_poly,
@@ -30,6 +32,16 @@ def schoolbook(a, b):
     return {e: c for e, c in out.items() if c}
 
 
+def packed_product(a, b):
+    """a*b as one product of packed integers, read back once.  The slot
+    holds min(#a, #b) * |a|_max * |b|_max, which bounds every coefficient
+    of the product, and each factor's |.|_max."""
+    norms = [max(map(abs, s.values()), default=0) for s in (a, b)]
+    w = _slot_bytes(max(min(len(a), len(b)) * norms[0] * norms[1], *norms))
+    la, lb = min(a, default=0), min(b, default=0)
+    return _unpack(_pack(a, w, la) * _pack(b, w, lb), w, base=la + lb)
+
+
 # sparse or empty, signed coefficients up to 2^200, any lowest exponent;
 # drawn zeros are dropped, since a series holds nonzero coefficients only
 series = st.dictionaries(
@@ -42,7 +54,7 @@ series = st.dictionaries(
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(series, series)
 def test_product_equals_schoolbook(a, b):
-    assert _dot([(a, b)]) == schoolbook(a, b)
+    assert packed_product(a, b) == schoolbook(a, b)
 
 
 def tight_pairs():
@@ -72,16 +84,19 @@ def tight_pairs():
 
 @pytest.mark.parametrize("a, b", list(tight_pairs()))
 def test_product_at_the_slot_bound(a, b):
-    assert _dot([(a, b)]) == schoolbook(a, b)
-    assert _dot([(b, a)]) == schoolbook(b, a)
+    assert packed_product(a, b) == schoolbook(a, b)
+    assert packed_product(b, a) == schoolbook(b, a)
 
 
 def test_product_with_an_empty_operand():
     a = {2: 5, 3: -7}
-    assert _dot([(a, {})]) == {}
-    assert _dot([({}, a)]) == {}
+    assert packed_product(a, {}) == {}
+    assert packed_product({}, a) == {}
     # a factor with only zero coefficients still sizes the slot
-    assert _dot([({0: 0}, {0: 128})]) == {}
+    assert packed_product({0: 0}, {0: 128}) == {}
+    # the empty series packs to 0 at any slot width and offset
+    for w in (1, 2, 9):
+        assert _pack({}, w) == 0 and _pack({}, w, 3, 4) == 0
 
 
 # ------------------------- F as y-coefficients, {x-exponent: coefficient}
@@ -155,6 +170,65 @@ def test_a_perturbed_coefficient_leaves_a_residue_at_its_order():
             assert residue, (j, i, d)
             assert min(residue) == 4 * i + j * m
             assert residue[min(residue)] == d
+
+
+@pytest.mark.parametrize("n, ms", [(4, [6, 7]), (8, [12, 14, 15])])
+def test_implicitize_packs_each_series_once(monkeypatch, n, ms):
+    # psi, the n power sums and the coefficients c_0..c_{n-1} for the
+    # Newton sums, then phi and the n + 1 y-coefficients for the residue
+    calls = []
+    pack = oracle_series._pack
+
+    def counted(*args):
+        calls.append(args)
+        return pack(*args)
+
+    monkeypatch.setattr(oracle_series, "_pack", counted)
+    implicitize(n, sample_parametrization(validate(n, ms), 1))
+    assert len(calls) == 3 * n + 3
+
+
+def newton_reference(n, phi):
+    """F by the textbook route on plain dicts: schoolbook powers of phi,
+    tr(phi^i) = n * (the terms of phi^i in x = t^n), then Newton's
+    identities k*c_k = -sum_i c_{k-i} * tr(phi^i), every division exact."""
+    power, sums = {0: 1}, [None]
+    for _ in range(n):
+        power = schoolbook(power, phi)
+        sums.append({e // n: n * c for e, c in power.items() if e % n == 0})
+    coeffs = [{0: 1}]
+    for k in range(1, n + 1):
+        total = {}
+        for i in range(1, k + 1):
+            for e, c in schoolbook(coeffs[k - i], sums[i]).items():
+                total[e] = total.get(e, 0) + c
+        assert all(c % k == 0 for c in total.values())
+        coeffs.append({e: -c // k for e, c in total.items() if c})
+    return tuple(reversed(coeffs))
+
+
+@st.composite
+def parametrizations(draw):
+    """(n, phi) with n <= 6 and phi of order at least n, so that the
+    curve has multiplicity n: up to 8 terms, coefficients up to 2^64 of
+    either sign, or all positive so that the power sums add up."""
+    n = draw(st.integers(2, 6))
+    coeff = st.one_of(st.integers(-4, 4), st.integers(-(2**64), 2**64))
+    if draw(st.booleans()):
+        coeff = coeff.map(abs)
+    phi = draw(st.dictionaries(
+        st.integers(n, 4 * n + 8), coeff.filter(bool), min_size=1, max_size=8
+    ))
+    return n, phi
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(parametrizations())
+def test_implicitize_equals_the_newton_reference(case):
+    # the one slot width holds every packed product, away from the
+    # sampled classes as well
+    n, phi = case
+    assert implicitize(n, phi) == newton_reference(n, phi)
 
 
 def test_implicitize_input_guards():
