@@ -27,7 +27,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .arith import normalize_even
-from .eqclass import EqClass, TheoremViolation, block_expansion
+from .eqclass import EqClass, TheoremViolation, _int_text, block_expansion
 
 __all__ = [
     "Cluster",
@@ -250,7 +250,7 @@ def render(C: Cluster, fmt: str = "text") -> str:
     size = sum(C.counts)
     if size > MAX_RENDER_POINTS:
         raise ValueError(
-            f"{C.eqclass} has {size} cluster points; rendering stops at "
+            f"{C.eqclass} has {_int_text(size)} cluster points; rendering stops at "
             f"{MAX_RENDER_POINTS}"
         )
     values, rows, seconds, spans = _points(C)

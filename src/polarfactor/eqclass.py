@@ -87,7 +87,21 @@ class EqClass:
         return f"{self.multiplicity}:{','.join(map(str, self.exponents))}"
 
     def __str__(self) -> str:
-        return f"K({self.multiplicity};{','.join(map(str, self.exponents))})"
+        ms = ",".join(map(_int_text, self.exponents))
+        return f"K({_int_text(self.multiplicity)};{ms})"
+
+
+def _int_text(x: int) -> str:
+    """x in decimal, or its digit count where str(x) would pass
+    sys.get_int_max_str_digits() and raise ValueError."""
+    try:
+        return str(x)
+    except ValueError:
+        # bits * log10(2) - 1 is at most the digit count
+        digits = int(abs(x).bit_length() * 0.30102999566398119) - 1
+        while abs(x) >= 10**digits:
+            digits += 1
+        return f"<{digits} digits>"
 
 
 def _derive(n: int, ms: tuple[int, ...]) -> EqClass:

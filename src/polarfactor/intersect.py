@@ -43,6 +43,7 @@ from .decompose import (
 from .eqclass import (
     EqClass,
     TheoremViolation,
+    _int_text,
     _prefix_walk,
     enumerate_classes,
     scaled_polar_quotient,
@@ -225,8 +226,8 @@ def _check_types(
             if value != oracle:
                 fail(
                     "pair_oracle",
-                    f"pair ({t}, {u}) of {E}: "
-                    f"closed form {value} != Noether oracle {oracle}",
+                    f"pair ({t}, {u}) of {E}: closed form {_int_text(value)} "
+                    f"!= Noether oracle {_int_text(oracle)}",
                     pairs,
                 )
             row.append(value)
@@ -237,7 +238,8 @@ def _check_types(
         if value != expected:
             fail(
                 "branch_vs_curve",
-                f"{t} against {E}: closed form {value} != oracle {expected}",
+                f"{t} against {E}: closed form {_int_text(value)} != "
+                f"oracle {_int_text(expected)}",
                 t.copies,
             )
     return rows, values
@@ -255,8 +257,8 @@ def _checked_total(
     if total != E.milnor + E.multiplicity - 1:
         fail(
             "grand_total",
-            f"I(f, P(f)) = {total} for {E}, expected mu + n - 1 = "
-            f"{E.milnor + E.multiplicity - 1}",
+            f"I(f, P(f)) = {_int_text(total)} for {E}, expected mu + n - 1 = "
+            f"{_int_text(E.milnor + E.multiplicity - 1)}",
             1,
         )
     return total

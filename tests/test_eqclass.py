@@ -1,5 +1,6 @@
 """Validation, derived chains, quotients, and class enumeration."""
 
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from itertools import groupby
@@ -7,6 +8,7 @@ from itertools import groupby
 import pytest
 
 from polarfactor.eqclass import (
+    _int_text,
     InvalidClassError,
     TheoremViolation,
     _prefix_walk,
@@ -251,3 +253,20 @@ def test_a_prefix_met_again_is_grown_again():
 
     assert [k for _, k in _prefix_walk([E, F, E, E], grow, 0)] == [1, 2, 1, 1]
     assert grown == [("4:6,7", 1), ("8:12,14,15", 1), ("8:12,14,15", 2), ("4:6,7", 1)]
+
+
+def test_an_integer_past_the_digit_limit_prints_as_its_digit_count():
+    # str() of such an integer raises ValueError; a class names its length
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        assert str(validate(3, [10**4400 + 1])) == "K(3;<4401 digits>)"
+        assert str(validate(3, [10**4299 + 1])) == "K(3;1" + "0" * 4298 + "1)"
+        for x, digits in ((10**4400 - 1, 4400), (10**4400, 4401), (-(10**5000), 5001)):
+            assert _int_text(x) == f"<{digits} digits>"
+        sys.set_int_max_str_digits(0)
+        reference = len(str(2**20000))
+        sys.set_int_max_str_digits(4300)
+        assert _int_text(2**20000) == f"<{reference} digits>"
+    finally:
+        sys.set_int_max_str_digits(old)

@@ -10,7 +10,7 @@ import pytest
 
 from polarfactor import cluster, eqclass, intersect
 from polarfactor.cli import main
-from polarfactor.cluster import noether_sum, singularity_cluster
+from polarfactor.cluster import noether_sum, render, singularity_cluster
 from polarfactor.decompose import branch_trace, decompose, package_summary
 from polarfactor.eqclass import (
     TheoremViolation,
@@ -609,3 +609,31 @@ def test_the_sweep_checks_each_branch_tuple_once(monkeypatch):
     monkeypatch.setattr(eqclass, "validate", counted("validate", check))
     assert verify_classes(8, 40).ok
     assert calls["canonicalize"] > 0 and calls["validate"] == 0
+
+
+@pytest.fixture
+def digit_limit():
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+def test_render_refuses_a_class_past_the_digit_limit_by_its_point_count(digit_limit):
+    E = validate(3, [10**4400 + 1])
+    refusal = r"^K\(3;<4401 digits>\) has <4400 digits> cluster points; rendering stops"
+    with pytest.raises(ValueError, match=refusal):
+        render(singularity_cluster(E))
+
+
+def test_a_violation_past_the_digit_limit_is_a_theorem_violation(
+    monkeypatch, digit_limit
+):
+    right = intersect._branch_vs_curve
+    monkeypatch.setattr(intersect, "_branch_vs_curve", lambda E, t: right(E, t) + 1)
+    with pytest.raises(
+        TheoremViolation,
+        match=r"^xi\[1,1\] smooth against K\(3;<4401 digits>\): "
+        r"closed form <4401 digits> != oracle <4401 digits>$",
+    ):
+        intersection_report(validate(3, [10**4400 + 1]))

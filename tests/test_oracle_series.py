@@ -145,10 +145,8 @@ def test_implicitize_perturbed_cusp_vanishes_on_the_curve():
 
 
 def test_implicitize_refuses_a_nonzero_residue(monkeypatch):
-    monkeypatch.setattr(
-        oracle_series, "evaluate_on_parametrization",
-        lambda *args, **kwargs: {7: 1},
-    )
+    # the residue check reads the packed value: here one digit at t^7
+    monkeypatch.setattr(oracle_series, "_horner", lambda *args: (1 << 56, 1))
     with pytest.raises(TheoremViolation, match="residue is nonzero"):
         implicitize(2, {3: 1})
 
@@ -330,14 +328,53 @@ def test_verify_class_checks_the_predicted_total_as_the_report_does(monkeypatch)
         verify_class(validate(2, [3]), seed=1)
 
 
-def test_order_window_raises_far_beyond_the_expected_order():
-    # along (t^2, t^3), x^k vanishes to order 2k; the window ends at 8*(0 + 2 + 4)
+def test_an_order_past_the_cut_is_unread():
+    # along (t^2, t^3), x^k vanishes to order 2k; only orders below the cut read
     phi = {3: 1}
-    assert oracle_series._order_along(({23: 1},), 2, phi, 0) == 46
-    assert oracle_series._order_along(({0: -5},), 2, phi, 0) == 0
-    for P in (({24: 1},), implicitize(2, phi)):
-        with pytest.raises(TheoremViolation, match="far beyond"):
-            oracle_series._order_along(P, 2, phi, 0)
+    assert oracle_series._order_along(({23: 1},), 2, phi, 47) == 46
+    assert oracle_series._order_along(({0: -5},), 2, phi, 1) == 0
+    assert oracle_series._order_along(({23: 1},), 2, phi, 46) is None
+    assert oracle_series._order_along(implicitize(2, phi), 2, phi, 1000) is None
+
+
+def test_an_order_past_the_cut_is_a_mismatch(monkeypatch):
+    # every sample is y^2 = x^7, cut at X = 4 for K(2;3): F is y^2 there,
+    # and both orders along (t^2, t^7) are 7, past the cut at t^6
+    monkeypatch.setattr(
+        oracle_series, "sample_parametrization",
+        lambda E, seed=None: {7: 1},
+    )
+    report = verify_class(validate(2, [3]), seed=1, retries=2)
+    assert not report.matched and report.attempts == 3
+    assert report.observed is None and report.fy_order is None
+    assert report.polar_multiplicity == 1
+    assert "order beyond the series cut (predicted 3)" in report.summary()
+    assert "MISMATCH" in report.summary()
+
+
+@st.composite
+def cuts(draw):
+    """(n, phi, X) with X from just past n to past every x-degree of F."""
+    n, phi = draw(parametrizations())
+    return n, phi, draw(st.integers(n + 1, max(phi) + 1))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(cuts())
+def test_the_cut_implicitization_is_exact_below_its_cut(case):
+    n, phi, X = case
+    F = oracle_series._implicitize(n, phi, X)
+    assert F == tuple(
+        {e: c for e, c in Fj.items() if e < X} for Fj in newton_reference(n, phi)
+    )
+    assert oracle_series._horner(F, n, phi, n * X)[0] == 0
+
+
+def test_genus_4_past_the_desk_bounds(monkeypatch):
+    monkeypatch.setattr(oracle_series, "MAX_MULTIPLICITY", 16)
+    monkeypatch.setattr(oracle_series, "MAX_CONDUCTOR", 380)
+    report = verify_class(validate(16, [24, 28, 30, 31]), seed=1)
+    assert report.matched and report.observed == report.fy_order == 395
 
 
 def test_verify_class_desk_scale_guard():
