@@ -28,6 +28,8 @@ from .eqclass import (
     EqClass,
     InvalidClassError,
     TheoremViolation,
+    _int_text,
+    _tuple_text,
     block_expansion,
     canonicalize_exponents,
 )
@@ -151,7 +153,7 @@ def _total_mismatch(E: EqClass, total: int) -> str | None:
     not n - 1, or None when it is."""
     if total == E.multiplicity - 1:
         return None
-    return f"polar of {E} has multiplicity {total} != n - 1"
+    return f"polar of {E} has multiplicity {_int_text(total)} != n - 1"
 
 
 def _package(E: EqClass, k: int, hn: tuple[int, ...]) -> PolarPackage:
@@ -178,14 +180,16 @@ def _package(E: EqClass, k: int, hn: tuple[int, ...]) -> PolarPackage:
             try:
                 canonical = canonicalize_exponents(exps[0], exps[1:])
             except InvalidClassError as exc:
-                raise TheoremViolation(f"branch {exps} of {E}: {exc}") from exc
+                raise TheoremViolation(
+                    f"branch {_tuple_text(exps)} of {E}: {exc}"
+                ) from exc
         types.append(PolarBranch(k, i, hn[2 * i], p, q, gap_below, exps, canonical))
     mult = sum(t.copies * t.multiplicity for t in types)
     expected = scale * (E.descents[k - 1] - 1)
     if mult != expected:
         raise TheoremViolation(
-            f"package {k} of {E}: constructed multiplicity {mult} != "
-            f"descent-chain value {expected}"
+            f"package {k} of {E}: constructed multiplicity {_int_text(mult)} != "
+            f"descent-chain value {_int_text(expected)}"
         )
     return PolarPackage(k, tuple(types), mult)
 

@@ -104,6 +104,11 @@ def _int_text(x: int) -> str:
         return f"<{digits} digits>"
 
 
+def _tuple_text(xs: tuple[int, ...]) -> str:
+    """str(xs), with each element through _int_text."""
+    return f"({', '.join(map(_int_text, xs))}{',' if len(xs) == 1 else ''})"
+
+
 def _derive(n: int, ms: tuple[int, ...]) -> EqClass:
     """Build an EqClass from already-validated data (no checks here)."""
     gcds = [n]
@@ -122,13 +127,17 @@ def _derive(n: int, ms: tuple[int, ...]) -> EqClass:
 def _check_tuple(n: int, xs: tuple[int, ...]) -> None:
     """The rules on a raw tuple: n >= 2, genus >= 1, increasing, n < m_1."""
     if n < 2:
-        raise InvalidClassError(f"multiplicity must be at least 2 (n = {n})")
+        raise InvalidClassError(f"multiplicity must be at least 2 (n = {_int_text(n)})")
     if not xs:
         raise InvalidClassError("genus must be at least 1 (no exponents given)")
     if any(a >= b for a, b in zip(xs, xs[1:])):
-        raise InvalidClassError(f"exponents must be strictly increasing, got {xs}")
+        raise InvalidClassError(
+            f"exponents must be strictly increasing, got {_tuple_text(xs)}"
+        )
     if xs[0] <= n:
-        raise InvalidClassError(f"m1 must exceed n (n = {n}, m1 = {xs[0]})")
+        raise InvalidClassError(
+            f"m1 must exceed n (n = {_int_text(n)}, m1 = {_int_text(xs[0])})"
+        )
 
 
 def validate(n: int, m: Sequence[int]) -> EqClass:
@@ -145,13 +154,16 @@ def validate(n: int, m: Sequence[int]) -> EqClass:
     for k, (e, mk) in enumerate(zip(E.gcds, ms), start=1):
         if E.gcds[k] == e:
             if k == 1:
-                raise InvalidClassError(f"n divides m1 (n = {n}, m1 = {mk})")
+                raise InvalidClassError(
+                    f"n divides m1 (n = {_int_text(n)}, m1 = {_int_text(mk)})"
+                )
             raise InvalidClassError(
-                f"e{k - 1} divides m{k} (e{k - 1} = {e}, m{k} = {mk})"
+                f"e{k - 1} divides m{k} "
+                f"(e{k - 1} = {_int_text(e)}, m{k} = {_int_text(mk)})"
             )
     if E.gcds[-1] != 1:
         raise InvalidClassError(
-            f"gcd(n, m1, ..., m{len(ms)}) = {E.gcds[-1]}, expected 1: "
+            f"gcd(n, m1, ..., m{len(ms)}) = {_int_text(E.gcds[-1])}, expected 1: "
             "a further characteristic exponent is missing"
         )
     return E
@@ -220,7 +232,8 @@ def canonicalize_exponents(n: int, exps: Sequence[int]) -> EqClass:
             e = e2
     if e != 1:
         raise InvalidClassError(
-            f"exponent tuple (n = {n}, {xs}) has final gcd {e}, expected 1"
+            f"exponent tuple (n = {_int_text(n)}, {_tuple_text(xs)}) "
+            f"has final gcd {_int_text(e)}, expected 1"
         )
     return _derive(n, tuple(kept))
 

@@ -71,9 +71,80 @@ def test_decompose_json_worked_example(capsys):
 
 
 def test_decompose_json_round_trips_byte_identically(capsys):
-    for spec in ("8:12,14,15", "2:3", "10:15,22"):
-        _, out, _ = run(capsys, "decompose", spec, "--json")
+    requests = [
+        ("decompose", spec, "--json") for spec in ("8:12,14,15", "2:3", "10:15,22")
+    ]
+    requests += [
+        ("matrix", "8:12,14,15", "--json"),
+        ("scan", "genus-drop", "--max-n", "8", "--max-m", "20", "--json"),
+        ("scan", "genus-drop", "--max-n", "2", "--max-m", "2", "--json"),
+    ]
+    for argv in requests:
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
         assert json.dumps(json.loads(out), indent=2) + "\n" == out
+    assert out == '{\n  "predicate": "genus-drop",\n  "hits": []\n}\n'
+
+
+# keys and strings with quotes, backslashes, control and non-ASCII
+# characters; ints of up to 4001 digits, within the default digit limit
+JSON_KEYS = st.text(max_size=6) | st.sampled_from(
+    ['"', "\\", "\x00\n\t\x1f\x7f", "é✓😀", ""]
+)
+JSON_LEAVES = (
+    st.integers()
+    | st.builds(
+        lambda digits, sign: sign * (10**digits + 12345),
+        st.integers(1000, 4000),
+        st.sampled_from([1, -1]),
+    )
+    | JSON_KEYS
+    | st.text()
+)
+
+
+def json_containers(children):
+    return st.lists(children, max_size=4) | st.dictionaries(
+        JSON_KEYS, children, max_size=4
+    )
+
+
+JSON_TREES = st.recursive(JSON_LEAVES, json_containers, max_leaves=12)
+
+
+@st.composite
+def deep_json_trees(draw):
+    """A tree with a chain of at least four nested containers; each link
+    is a list or a str-keyed dict, with other trees beside it."""
+    tree = draw(JSON_TREES)
+    for _ in range(draw(st.integers(4, 6))):
+        siblings = draw(st.lists(JSON_TREES, max_size=2))
+        at = draw(st.integers(0, len(siblings)))
+        items = siblings[:at] + [tree] + siblings[at:]
+        if draw(st.booleans()):
+            tree = items
+        else:
+            size = len(items)
+            keys = draw(st.lists(JSON_KEYS, min_size=size, max_size=size, unique=True))
+            tree = dict(zip(keys, items))
+    return tree
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(deep_json_trees())
+def test_the_json_writer_equals_json_dumps_indent_2(tree):
+    assert cli._json(tree) == json.dumps(tree, indent=2)
+
+
+def test_the_json_writer_refuses_what_it_does_not_write(digit_limit):
+    too_long = 10 ** sys.get_int_max_str_digits()
+    for x in (too_long, [1, -too_long], {"total": too_long}):
+        with pytest.raises(ValueError, match="Exceeds the limit"):
+            cli._json(x)
+    for leaf in (True, 1.0, None):
+        for x in (leaf, [1, leaf], {"a": {"b": leaf}}):
+            with pytest.raises(TypeError):
+                cli._json(x)
 
 
 def test_decompose_text_output(capsys):

@@ -17,6 +17,7 @@ from polarfactor.decompose import (
     require_member,
 )
 from polarfactor.eqclass import (
+    InvalidClassError,
     TheoremViolation,
     enumerate_classes,
     polar_quotient,
@@ -201,6 +202,23 @@ def test_gap_below_walk_must_start_at_the_terminal_trace(monkeypatch):
     assert b2.starts_at_terminal
     with pytest.raises(TheoremViolation, match="anchor"):
         branch_trace(E, b2)
+
+
+def test_a_branch_violation_past_the_digit_limit_is_named(monkeypatch):
+    # the violation names the raw exponent tuple and the class, both with
+    # an integer past the digit limit
+    def refuse(n, exps):
+        raise InvalidClassError("injected")
+
+    module = sys.modules["polarfactor.decompose"]
+    monkeypatch.setattr(module, "canonicalize_exponents", refuse)
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(TheoremViolation, match=r"^branch \(2, 3, <4400 digits>\) "):
+            decompose(validate(4, [6, 10**4400 + 1]))
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def test_trace_first_entry_is_branch_multiplicity():

@@ -255,6 +255,33 @@ def test_a_prefix_met_again_is_grown_again():
     assert grown == [("4:6,7", 1), ("8:12,14,15", 1), ("8:12,14,15", 2), ("4:6,7", 1)]
 
 
+@pytest.mark.parametrize(
+    "check, n, exps",
+    [
+        (validate, 3, [3 * 10**4400]),
+        (validate, 4, [6, 2 * 10**4400]),
+        (validate, 10**4400, [5]),
+        (validate, 4, [10**4400 + 1, 7]),
+        (validate, -(10**4400), [5]),
+        (validate, 4 * 10**4400, [6 * 10**4400]),
+        (canonicalize_exponents, 4, (2 * 10**4400 + 2,)),
+    ],
+    ids=[
+        "n-divides-m1", "e1-divides-m2", "m1", "increasing", "n", "gcd", "final-gcd"
+    ],
+)
+def test_a_refusal_past_the_digit_limit_names_the_digit_count(check, n, exps):
+    # the message formats no integer through str(), which would raise
+    # CPython's digit-limit ValueError in place of InvalidClassError
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(InvalidClassError, match="digits>"):
+            check(n, exps)
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 def test_an_integer_past_the_digit_limit_prints_as_its_digit_count():
     # str() of such an integer raises ValueError; a class names its length
     old = sys.get_int_max_str_digits()
